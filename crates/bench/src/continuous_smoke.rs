@@ -22,7 +22,7 @@
 use std::path::Path;
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{Des, FaultPlan, MsgClass, PeerId, RelConfig, SimConfig, World};
+use ifi_sim::{sansio_world, Des, FaultPlan, MsgClass, PeerId, RelConfig, SimConfig, World};
 use ifi_simcheck::continuous_cases;
 use ifi_workload::{ItemId, SystemData, WorkloadParams};
 use netfilter::continuous::{
@@ -71,9 +71,10 @@ fn run_world(
     let cfg = ContinuousConfig::new(WINDOW, EPOCHS);
     let mut w = match rel {
         None => ContinuousProtocol::build_world(&cfg, &h, registry, schedules, sim),
-        Some(rc) => {
-            ContinuousProtocol::build_world_reliable(&cfg, &h, registry, schedules, sim, rc)
-        }
+        Some(rc) => sansio_world(
+            sim,
+            ContinuousProtocol::peers(&cfg, &h, registry, schedules, Some(rc)),
+        ),
     };
     w.start();
     w.run_to_quiescence();

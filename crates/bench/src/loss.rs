@@ -18,7 +18,8 @@ use std::path::{Path, PathBuf};
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::{HeartbeatConfig, Topology};
 use ifi_sim::{
-    DetRng, Duration, FaultPlan, MetricsReport, MsgClass, PeerId, RelConfig, SimConfig, SimTime,
+    sansio_world, DetRng, Duration, FaultPlan, MetricsReport, MsgClass, PeerId, RelConfig,
+    SimConfig, SimTime,
 };
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
 use netfilter::phases;
@@ -87,7 +88,10 @@ fn one_shot(drop: f64, seed: u64) -> LossRun {
     let sim = SimConfig::default()
         .with_seed(seed)
         .with_faults(chaos(drop));
-    let mut w = NetFilterProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+    let mut w = sansio_world(
+        sim,
+        NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default()), false),
+    );
     w.enable_metrics_sink();
     w.start();
     w.run_to_quiescence();
@@ -154,14 +158,17 @@ fn resilient(drop: f64, seed: u64) -> LossRun {
     let sim = SimConfig::default()
         .with_seed(seed)
         .with_faults(chaos(drop));
-    let mut w = ResilientProtocol::build_world_reliable(
-        &cfg,
-        rc,
-        &topo,
-        &h,
-        &data,
+    let mut w = sansio_world(
         sim,
-        RelConfig::default(),
+        ResilientProtocol::peers(
+            &cfg,
+            rc,
+            &topo,
+            &h,
+            &[h.root()],
+            &data,
+            Some(RelConfig::default()),
+        ),
     );
     w.enable_metrics_sink();
     w.start();

@@ -265,10 +265,7 @@ fn bench_maintain_tick() -> BenchReport {
         bytes: 8,
     };
     run_bench("maintain_tick", &BenchConfig { warmup: 1, reps: 3 }, || {
-        let peers: Vec<MaintainProtocol> = topo
-            .peers()
-            .map(|p| MaintainProtocol::new(&h, p, topo.neighbors(p).to_vec(), cfg))
-            .collect();
+        let peers = MaintainProtocol::peers(&topo, &h, cfg, None);
         let mut w = sansio_world(
             SimConfig::default()
                 .with_seed(PERF_SEED)

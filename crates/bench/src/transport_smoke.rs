@@ -104,19 +104,7 @@ fn des_run(s: &Scenario, seed: u64) -> (Vec<(ItemId, u64)>, MetricsReport) {
 }
 
 fn peers(s: &Scenario) -> Vec<NetFilterProtocol> {
-    let threshold = s.cfg.threshold.resolve(s.data.total_value());
-    (0..s.data.peer_count())
-        .map(|i| {
-            let p = PeerId::new(i);
-            NetFilterProtocol::new(
-                &s.cfg,
-                &s.hierarchy,
-                p,
-                s.data.local_items(p).to_vec(),
-                threshold,
-            )
-        })
-        .collect()
+    NetFilterProtocol::peers(&s.cfg, &s.hierarchy, &s.data, None, false)
 }
 
 /// Renders a warning tally as `label (Nx), ...` — or `none`.

@@ -43,12 +43,11 @@ use std::collections::BTreeMap;
 
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    mix64, sansio_world, Des, Duration, Effects, Membership, MsgClass, NodeEvent, PeerId, PeerSet,
-    RelConfig, ReliableMsg, SansIo, SimConfig, SimTime, World,
+    mix64, sansio_world, Des, Duration, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId,
+    PeerSet, RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
 };
 use ifi_workload::{ItemId, SystemData};
 
-use crate::envelope::{Envelope, RetransmitTimer};
 use crate::windowed::SlidingWindow;
 use crate::WireSizes;
 
@@ -511,22 +510,6 @@ impl ContinuousProtocol {
         sansio_world(
             sim,
             Self::peers(config, hierarchy, registry, schedules, None),
-        )
-    }
-
-    /// Like [`build_world`](Self::build_world) with the ack/retransmit
-    /// envelope on every peer.
-    pub fn build_world_reliable(
-        config: &ContinuousConfig,
-        hierarchy: &Hierarchy,
-        registry: &QueryRegistry,
-        schedules: &[Vec<Vec<(ItemId, u64)>>],
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<ContinuousProtocol>> {
-        sansio_world(
-            sim,
-            Self::peers(config, hierarchy, registry, schedules, Some(rel)),
         )
     }
 
@@ -1032,13 +1015,9 @@ mod tests {
         let sim = SimConfig::default()
             .with_seed(11)
             .with_faults(FaultPlan::none().with_drop(0.12).with_duplication(0.08));
-        let mut lossy = ContinuousProtocol::build_world_reliable(
-            &cfg,
-            &h,
-            &reg,
-            &schedules,
+        let mut lossy = sansio_world(
             sim,
-            RelConfig::default(),
+            ContinuousProtocol::peers(&cfg, &h, &reg, &schedules, Some(RelConfig::default())),
         );
         lossy.start();
         lossy.run_to_quiescence();

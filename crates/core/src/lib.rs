@@ -90,7 +90,6 @@ mod config;
 pub mod continuous;
 mod engine;
 pub mod engines;
-pub mod envelope;
 mod filter;
 pub mod gossip_filter;
 mod hashing;

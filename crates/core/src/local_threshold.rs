@@ -27,12 +27,11 @@
 
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Des, Effects, Membership, MsgClass, NodeEvent, PeerId, PeerSet, RelConfig,
-    ReliableMsg, SansIo, SimConfig, SimTime, World,
+    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, PeerSet,
+    RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
 };
 use ifi_workload::{ItemId, SystemData};
 
-use crate::envelope::{Envelope, RetransmitTimer};
 use crate::{Threshold, WireSizes};
 
 /// Tuning of the comparator.
@@ -193,19 +192,6 @@ impl LocalThresholdProtocol {
         sim: SimConfig,
     ) -> World<Des<LocalThresholdProtocol>> {
         sansio_world(sim, Self::peers(config, hierarchy, data, item, None))
-    }
-
-    /// Like [`build_world`](Self::build_world) with the ack/retransmit
-    /// envelope on every peer.
-    pub fn build_world_reliable(
-        config: &LocalThresholdConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        item: ItemId,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<LocalThresholdProtocol>> {
-        sansio_world(sim, Self::peers(config, hierarchy, data, item, Some(rel)))
     }
 
     /// The peer population as bare cores for any driver.
@@ -440,13 +426,9 @@ mod tests {
         let sim = SimConfig::default()
             .with_seed(9)
             .with_faults(FaultPlan::none().with_drop(0.15).with_duplication(0.1));
-        let mut lossy = LocalThresholdProtocol::build_world_reliable(
-            &cfg,
-            &h,
-            &data,
-            top,
+        let mut lossy = sansio_world(
             sim,
-            RelConfig::default(),
+            LocalThresholdProtocol::peers(&cfg, &h, &data, top, Some(RelConfig::default())),
         );
         lossy.start();
         lossy.run_to_quiescence();

@@ -25,7 +25,7 @@
 //! for exactly this reason, §III-A). Under churn, the maintenance protocol
 //! of `ifi-hierarchy` repairs the tree and the query is re-issued — see
 //! the `failure_recovery` integration test. On lossy networks, enable the
-//! ack/retransmit envelope ([`NetFilterProtocol::build_world_reliable`]):
+//! ack/retransmit [`Envelope`] (`rel` of [`NetFilterProtocol::peers`]):
 //! every phase message is sequenced, acknowledged, retransmitted with
 //! exponential backoff, and deduplicated at the receiver, so the answer
 //! stays exact under drops, duplication, and reordering. Originals keep
@@ -35,8 +35,8 @@
 use ifi_agg::{Aggregate, MapSum, VecSum};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Des, Effects, Membership, MsgClass, NodeEvent, PeerId, RelConfig, ReliableLink,
-    ReliableMsg, Retransmit, SansIo, SimConfig, SimTime, World,
+    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig,
+    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
 };
 use ifi_workload::{ItemId, SystemData};
 
@@ -77,14 +77,6 @@ pub struct NfDelivery {
     /// both phases, [`Certificate::Partial`] with the missing census
     /// otherwise. `None` when census mode is off.
     pub certificate: Option<Certificate>,
-}
-
-/// Timers of the netFilter protocol; only armed when the reliability
-/// envelope is enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NfTimer {
-    /// Retransmission check for the reliable frame numbered `seq`.
-    Retransmit(u64),
 }
 
 /// Per-peer state of the netFilter protocol.
@@ -131,14 +123,9 @@ pub struct NetFilterProtocol {
     /// [`NfMsg::PhaseCensus`] messages, and the root emits a certificate).
     roster: Option<Census>,
     certificate: Option<Certificate>,
-    /// Originals produced so far `(to, msg, bytes)`, retained only under
-    /// reliability: a revival re-sends them all (the crash lost every
-    /// retransmit timer), charged as [`MsgClass::RETRANSMIT`].
-    resend_buf: Vec<(PeerId, NfMsg, u64)>,
-
-    /// Ack/retransmit envelope state; `None` runs the classic
-    /// fire-and-forget protocol (zero overhead, zero extra traffic).
-    rel: Option<ReliableLink<NfMsg>>,
+    /// Phase messages ride this envelope; plain by default (the classic
+    /// fire-and-forget protocol, zero overhead, zero extra traffic).
+    env: Envelope<NfMsg>,
 }
 
 impl NetFilterProtocol {
@@ -179,14 +166,13 @@ impl NetFilterProtocol {
             p2_census_pending: 0,
             roster: None,
             certificate: None,
-            resend_buf: Vec::new(),
-            rel: None,
+            env: Envelope::plain(),
         }
     }
 
     /// Enables the ack/retransmit envelope with the given tuning.
     pub fn with_reliability(mut self, cfg: RelConfig) -> Self {
-        self.rel = Some(ReliableLink::new(cfg));
+        self.env = Envelope::reliable(cfg);
         self
     }
 
@@ -221,7 +207,8 @@ impl NetFilterProtocol {
         self.certificate
     }
 
-    /// Builds a ready-to-run world over `hierarchy` and `data`.
+    /// Builds a ready-to-run world over `hierarchy` and `data`, with the
+    /// envelope off and census mode off.
     ///
     /// # Panics
     ///
@@ -232,91 +219,50 @@ impl NetFilterProtocol {
         data: &SystemData,
         sim: SimConfig,
     ) -> World<Des<NetFilterProtocol>> {
-        assert_eq!(
-            hierarchy.universe(),
-            data.peer_count(),
-            "hierarchy and data peer universes differ"
-        );
-        let threshold = config.threshold.resolve(data.total_value());
-        let peers = (0..data.peer_count())
-            .map(|i| {
-                let p = PeerId::new(i);
-                NetFilterProtocol::new(
-                    config,
-                    hierarchy,
-                    p,
-                    data.local_items(p).to_vec(),
-                    threshold,
-                )
-            })
-            .collect();
-        sansio_world(sim, peers)
+        sansio_world(sim, Self::peers(config, hierarchy, data, None, false))
     }
 
-    /// Like [`build_world`](Self::build_world), but with the ack/retransmit
-    /// envelope enabled on every peer — required for exact answers when the
-    /// simulation injects faults ([`ifi_sim::FaultPlan`]).
-    pub fn build_world_reliable(
+    /// The peer population as bare cores for any driver. `rel` switches
+    /// the ack/retransmit envelope on — required for exact answers when
+    /// the network injects faults — and `certified` switches census mode
+    /// on against the full member [`roster`](Self::roster).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hierarchy and data universes differ.
+    pub fn peers(
         config: &NetFilterConfig,
         hierarchy: &Hierarchy,
         data: &SystemData,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<NetFilterProtocol>> {
+        rel: Option<RelConfig>,
+        certified: bool,
+    ) -> Vec<NetFilterProtocol> {
         assert_eq!(
             hierarchy.universe(),
             data.peer_count(),
             "hierarchy and data peer universes differ"
         );
         let threshold = config.threshold.resolve(data.total_value());
-        let peers = (0..data.peer_count())
+        let roster = certified.then(|| Self::roster(hierarchy));
+        (0..data.peer_count())
             .map(|i| {
                 let p = PeerId::new(i);
-                NetFilterProtocol::new(
+                let mut core = NetFilterProtocol::new(
                     config,
                     hierarchy,
                     p,
                     data.local_items(p).to_vec(),
                     threshold,
-                )
-                .with_reliability(rel.clone())
+                );
+                if let Some(cfg) = &rel {
+                    core = core.with_reliability(cfg.clone());
+                }
+                match roster {
+                    Some(roster) => core.with_census(roster),
+                    None => core,
+                }
             })
-            .collect();
-        sansio_world(sim, peers)
-    }
-
-    /// Like [`build_world_reliable`](Self::build_world_reliable), with
-    /// census mode on against the full member roster: the run's answer is
-    /// accompanied by a coverage [`Certificate`] at the root.
-    pub fn build_world_certified(
-        config: &NetFilterConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<NetFilterProtocol>> {
-        assert_eq!(
-            hierarchy.universe(),
-            data.peer_count(),
-            "hierarchy and data peer universes differ"
-        );
-        let roster = Self::roster(hierarchy);
-        let threshold = config.threshold.resolve(data.total_value());
-        let peers = (0..data.peer_count())
-            .map(|i| {
-                let p = PeerId::new(i);
-                NetFilterProtocol::new(
-                    config,
-                    hierarchy,
-                    p,
-                    data.local_items(p).to_vec(),
-                    threshold,
-                )
-                .with_reliability(rel.clone())
-                .with_census(roster)
-            })
-            .collect();
-        sansio_world(sim, peers)
+            .collect()
     }
 
     /// The final result (root only, once the run quiesces).
@@ -327,34 +273,6 @@ impl NetFilterProtocol {
     /// The resolved threshold.
     pub fn threshold(&self) -> u64 {
         self.threshold
-    }
-
-    /// Sends a phase message, through the ack/retransmit envelope when
-    /// reliability is enabled. The original is charged in `class` either
-    /// way, so phase costs are loss-independent. Under reliability the
-    /// original is also retained in the revival backlog: a crash loses
-    /// every retransmit timer, so re-sending the backlog (as RETRANSMIT)
-    /// is what keeps delivery guaranteed across restarts.
-    fn send_phase(
-        &mut self,
-        fx: &mut Effects<Self>,
-        to: PeerId,
-        msg: NfMsg,
-        bytes: u64,
-        class: MsgClass,
-    ) {
-        match self.rel.as_mut() {
-            None => {
-                fx.send(to, ReliableMsg::Plain(msg), bytes, class);
-            }
-            Some(link) => {
-                let (seq, frame) = link.send_data(to, msg.clone(), bytes);
-                let delay = link.rto(seq, 0);
-                fx.send(to, frame, bytes, class);
-                fx.set_timer(delay, NfTimer::Retransmit(seq));
-                self.resend_buf.push((to, msg, bytes));
-            }
-        }
     }
 
     /// Whether census mode is on (a roster was supplied).
@@ -392,10 +310,11 @@ impl NetFilterProtocol {
         } else {
             let parent = self.parent.expect("non-root has a parent");
             let bytes = acc.encoded_bytes(&self.sizes);
-            self.send_phase(fx, parent, NfMsg::GroupAgg(acc), bytes, MsgClass::FILTERING);
+            self.env
+                .send(fx, parent, NfMsg::GroupAgg(acc), bytes, MsgClass::FILTERING);
             if self.census_mode() {
                 let census = self.p1_census;
-                self.send_phase(
+                self.env.send(
                     fx,
                     parent,
                     NfMsg::PhaseCensus { phase: 1, census },
@@ -407,13 +326,11 @@ impl NetFilterProtocol {
     }
 
     fn start_phase2(&mut self, fx: &mut Effects<Self>, heavy: HeavyGroups) {
-        // Forward the heavy lists to every downstream neighbor. The child
-        // list is moved aside (not cloned) for the duration of the sends;
-        // each message still owns its own copy of the lists.
+        // Forward the heavy lists to every downstream neighbor; each
+        // message owns its own copy of the lists.
         let list_bytes = self.sizes.sg * heavy.total_heavy() as u64;
-        let children = std::mem::take(&mut self.children);
-        for &c in &children {
-            self.send_phase(
+        for &c in &self.children {
+            self.env.send(
                 fx,
                 c,
                 NfMsg::Heavy(heavy.lists().to_vec()),
@@ -421,7 +338,6 @@ impl NetFilterProtocol {
                 MsgClass::DISSEMINATION,
             );
         }
-        self.children = children;
         // Materialize the local partial candidate set (Algorithm 2 line 2).
         self.p2_acc = Some(
             self.local_filter
@@ -465,7 +381,7 @@ impl NetFilterProtocol {
         } else {
             let parent = self.parent.expect("non-root has a parent");
             let bytes = acc.encoded_bytes(&self.sizes);
-            self.send_phase(
+            self.env.send(
                 fx,
                 parent,
                 NfMsg::CandidateAgg(acc),
@@ -474,7 +390,7 @@ impl NetFilterProtocol {
             );
             if self.census_mode() {
                 let census = self.p2_census;
-                self.send_phase(
+                self.env.send(
                     fx,
                     parent,
                     NfMsg::PhaseCensus { phase: 2, census },
@@ -486,14 +402,25 @@ impl NetFilterProtocol {
     }
 
     /// Admission guard for a child's rootward message: the sender must be
-    /// a child and must not have been merged into `seen` already. Returns
-    /// the warning label to emit when the message must be dropped.
-    fn admit(children: &[PeerId], seen: &mut Vec<PeerId>, from: PeerId) -> Option<&'static str> {
+    /// a child, must not have been merged into `seen` already, and the
+    /// phase it reports on must be `open` here. Returns the warning label
+    /// to emit when the message must be dropped; only an admitted sender
+    /// is recorded, so an out-of-phase report does not make the later
+    /// legitimate one look like a duplicate.
+    fn admit(
+        children: &[PeerId],
+        seen: &mut Vec<PeerId>,
+        from: PeerId,
+        open: bool,
+    ) -> Option<&'static str> {
         if !children.contains(&from) {
             return Some("unexpected-sender");
         }
         if seen.contains(&from) {
             return Some("duplicate-report");
+        }
+        if !open {
+            return Some("out-of-phase");
         }
         seen.push(from);
         None
@@ -507,14 +434,14 @@ impl NetFilterProtocol {
     fn on_payload(&mut self, fx: &mut Effects<Self>, from: PeerId, msg: NfMsg) {
         match msg {
             NfMsg::GroupAgg(v) => {
-                if let Some(warn) = Self::admit(&self.children, &mut self.p1_seen, from) {
+                let open = self.p1_acc.is_some();
+                if let Some(warn) = Self::admit(&self.children, &mut self.p1_seen, from, open) {
                     fx.warn(warn);
                     return;
                 }
-                self.p1_acc
-                    .as_mut()
-                    .expect("phase-1 accumulator initialized at start")
-                    .merge_owned(v);
+                if let Some(acc) = self.p1_acc.as_mut() {
+                    acc.merge_owned(v);
+                }
                 self.p1_pending -= 1;
                 self.maybe_complete_p1(fx);
             }
@@ -531,14 +458,14 @@ impl NetFilterProtocol {
                 self.start_phase2(fx, heavy);
             }
             NfMsg::CandidateAgg(m) => {
-                if let Some(warn) = Self::admit(&self.children, &mut self.p2_seen, from) {
+                let open = self.p2_acc.is_some();
+                if let Some(warn) = Self::admit(&self.children, &mut self.p2_seen, from, open) {
                     fx.warn(warn);
                     return;
                 }
-                self.p2_acc
-                    .as_mut()
-                    .expect("phase-2 accumulator set when heavy lists arrived")
-                    .merge_owned(m);
+                if let Some(acc) = self.p2_acc.as_mut() {
+                    acc.merge_owned(m);
+                }
                 self.p2_pending -= 1;
                 self.maybe_complete_p2(fx);
             }
@@ -552,7 +479,7 @@ impl NetFilterProtocol {
                 } else {
                     &mut self.p2_census_seen
                 };
-                if let Some(warn) = Self::admit(&self.children, seen, from) {
+                if let Some(warn) = Self::admit(&self.children, seen, from, true) {
                     fx.warn(warn);
                     return;
                 }
@@ -568,105 +495,16 @@ impl NetFilterProtocol {
             }
         }
     }
-
-    /// A second `Start` is a crash/revival (the DES `Revive` event, or the
-    /// transport supervisor respawning a crashed peer thread). State
-    /// survived — only the in-flight frames and armed timers died with the
-    /// old life — so: bump the reliability incarnation (abandoning the old
-    /// life's frames) and re-send every original this node ever produced,
-    /// charged as RETRANSMIT. Receivers that already merged a copy warn
-    /// and drop it (the `admit` guards); anyone else finally gets it.
-    fn on_revival(&mut self, fx: &mut Effects<Self>) {
-        let Some(link) = self.rel.as_mut() else {
-            // Without the envelope there is no delivery guarantee to
-            // restore (and no incarnation to bump); a revived peer just
-            // resumes with its surviving state.
-            return;
-        };
-        link.on_restart();
-        let backlog = self.resend_buf.clone();
-        for (to, msg, bytes) in backlog {
-            let link = self.rel.as_mut().expect("reliability checked above");
-            let (seq, frame) = link.send_data(to, msg, bytes);
-            let delay = link.rto(seq, 0);
-            fx.send(to, frame, bytes, MsgClass::RETRANSMIT);
-            fx.set_timer(delay, NfTimer::Retransmit(seq));
-        }
-    }
-
-    fn on_frame(&mut self, fx: &mut Effects<Self>, from: PeerId, msg: ReliableMsg<NfMsg>) {
-        let payload = match msg {
-            ReliableMsg::Plain(m) => m,
-            ReliableMsg::Data { inc, seq, payload } => {
-                let Some(link) = self.rel.as_mut() else {
-                    // A sequenced frame at a peer with no reliability
-                    // envelope is a configuration mismatch between the two
-                    // ends; drop it rather than take the node down.
-                    fx.warn("sequenced-frame-without-reliability");
-                    return;
-                };
-                let ack_bytes = link.cfg().ack_bytes;
-                let fresh = link.accept(from, inc, seq);
-                // Always ack — a duplicate usually means the first ack was
-                // lost — but only fresh payloads reach the phase logic. The
-                // ack echoes the frame's incarnation so the sender can
-                // match it to the right life.
-                fx.send(
-                    from,
-                    ReliableMsg::Ack { inc, seq },
-                    ack_bytes,
-                    MsgClass::RETRANSMIT,
-                );
-                if !fresh {
-                    return;
-                }
-                payload
-            }
-            ReliableMsg::Ack { inc, seq } => {
-                if let Some(link) = self.rel.as_mut() {
-                    link.on_ack(from, inc, seq);
-                }
-                return;
-            }
-        };
-        self.on_payload(fx, from, payload);
-    }
-
-    fn on_retransmit(&mut self, fx: &mut Effects<Self>, timer: NfTimer) {
-        let NfTimer::Retransmit(seq) = timer;
-        let Some(link) = self.rel.as_mut() else {
-            fx.warn("retransmit-timer-without-reliability");
-            return;
-        };
-        match link.retransmit(seq) {
-            Retransmit::Resend {
-                to,
-                frame,
-                bytes,
-                next_delay,
-            } => {
-                fx.send(to, frame, bytes, MsgClass::RETRANSMIT);
-                fx.set_timer(next_delay, NfTimer::Retransmit(seq));
-            }
-            Retransmit::Acked => {}
-            Retransmit::GaveUp { .. } => {
-                // A one-shot run has no coarser repair to escalate to; the
-                // resilient engine's epoch supersession handles this case
-                // (see `resilient.rs`). With default tuning this needs 17
-                // consecutive losses of the same frame.
-            }
-        }
-    }
 }
 
 impl SansIo for NetFilterProtocol {
     type Msg = ReliableMsg<NfMsg>;
-    type Timer = NfTimer;
+    type Timer = RetransmitTimer;
     type Output = NfDelivery;
 
     fn on_event(
         &mut self,
-        ev: NodeEvent<ReliableMsg<NfMsg>, NfTimer>,
+        ev: NodeEvent<ReliableMsg<NfMsg>, RetransmitTimer>,
         _now: SimTime,
         _env: &dyn Membership,
         fx: &mut Effects<Self>,
@@ -677,15 +515,26 @@ impl SansIo for NetFilterProtocol {
                     return; // not part of the hierarchy: contributes nothing
                 }
                 if self.started {
-                    self.on_revival(fx);
+                    // A second `Start` is a crash/revival (the DES `Revive`
+                    // event, or the transport supervisor respawning a
+                    // crashed peer thread). State survived; only in-flight
+                    // frames and armed timers died, and the envelope
+                    // re-sends every original this node produced.
+                    // Receivers that already merged a copy warn and drop
+                    // it (the `admit` guards).
+                    self.env.on_revival(fx);
                     return;
                 }
                 self.started = true;
                 self.p1_acc = Some(self.local_filter.group_vector(&self.local_items));
                 self.maybe_complete_p1(fx);
             }
-            NodeEvent::Message { from, msg } => self.on_frame(fx, from, msg),
-            NodeEvent::Timer { tag } => self.on_retransmit(fx, tag),
+            NodeEvent::Message { from, msg } => {
+                if let Some(payload) = self.env.on_frame(fx, from, msg) {
+                    self.on_payload(fx, from, payload);
+                }
+            }
+            NodeEvent::Timer { tag } => self.env.on_retransmit(fx, tag),
         }
     }
 }
@@ -820,13 +669,8 @@ mod tests {
         let cfg = config(20, 2);
         let instant = NetFilter::new(cfg.clone()).run(&h, &data);
 
-        let mut w = NetFilterProtocol::build_world_reliable(
-            &cfg,
-            &h,
-            &data,
-            SimConfig::default().with_seed(5),
-            RelConfig::default(),
-        );
+        let peers = NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default()), false);
+        let mut w = sansio_world(SimConfig::default().with_seed(5), peers);
         w.start();
         w.run_to_quiescence();
 
@@ -873,13 +717,8 @@ mod tests {
         let cfg = config(20, 2);
         let instant = NetFilter::new(cfg.clone()).run(&h, &data);
 
-        let mut w = NetFilterProtocol::build_world_certified(
-            &cfg,
-            &h,
-            &data,
-            SimConfig::default().with_seed(6),
-            RelConfig::default(),
-        );
+        let peers = NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default()), true);
+        let mut w = sansio_world(SimConfig::default().with_seed(6), peers);
         w.start();
         w.run_to_quiescence();
 
@@ -975,17 +814,12 @@ mod tests {
             })
             .expect("leaf must report on start");
 
-        let mut root = core(0);
-        let mut fx = Effects::new();
-        root.on_event(NodeEvent::Start, now, &env, &mut fx);
-        fx.drain().count();
-
-        let deliver = |root: &mut NetFilterProtocol, from: usize| {
+        let deliver = |root: &mut NetFilterProtocol, from: usize, msg: &ReliableMsg<NfMsg>| {
             let mut fx = Effects::new();
             root.on_event(
                 NodeEvent::Message {
                     from: PeerId::new(from),
-                    msg: report.clone(),
+                    msg: msg.clone(),
                 },
                 now,
                 &env,
@@ -999,12 +833,23 @@ mod tests {
                 .collect::<Vec<_>>()
         };
 
+        // A report before the root's own Start is out of phase: warned and
+        // dropped, without recording the sender.
+        let mut root = core(0);
+        assert_eq!(deliver(&mut root, 1, &report), ["out-of-phase"]);
+        let mut fx = Effects::new();
+        root.on_event(NodeEvent::Start, now, &env, &mut fx);
+        fx.drain().count();
+        // So is a phase-2 report before the heavy lists arrived.
+        let early = ReliableMsg::Plain(NfMsg::CandidateAgg(MapSum::default()));
+        assert_eq!(deliver(&mut root, 1, &early), ["out-of-phase"]);
+
         // First report from a real child: accepted.
-        assert!(deliver(&mut root, 1).is_empty());
+        assert!(deliver(&mut root, 1, &report).is_empty());
         // Replay of the same child's report: warned, not double-merged.
-        assert_eq!(deliver(&mut root, 1), ["duplicate-report"]);
+        assert_eq!(deliver(&mut root, 1, &report), ["duplicate-report"]);
         // A report from a peer that is not a child: warned, dropped.
-        assert_eq!(deliver(&mut root, 0), ["unexpected-sender"]);
+        assert_eq!(deliver(&mut root, 0, &report), ["unexpected-sender"]);
         // Phase 1 is still waiting on child 2 — the guarded deliveries
         // must not have decremented the countdown twice.
         let mut child2 = core(2);

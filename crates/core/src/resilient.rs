@@ -20,7 +20,8 @@
 //!
 //! §III-A.1 notes the hierarchy "is still vulnerable to single point of
 //! failure" and proposes constructing multiple hierarchies. Building with
-//! [`build_world_multi`](ResilientProtocol::build_world_multi) recruits a
+//! [`build_world_multi`](ResilientProtocol::build_world_multi) (or a
+//! multi-root succession line in [`peers`](ResilientProtocol::peers)) recruits a
 //! *succession line* of `k` candidate roots (the distinct roots of a
 //! [`MultiHierarchy`]); all peers initially serve the primary tree, and the
 //! successors are ordinary members who merely know their rank:
@@ -64,10 +65,10 @@
 //! an envelope retransmission resends the original frame and is charged,
 //! as before, at the frame's size under `RETRANSMIT`.
 //!
-//! [`build_world_reliable`](ResilientProtocol::build_world_reliable)
-//! additionally wraps every *query-critical* message (`Start`, `GroupAgg`,
-//! `Heavy`, `CandidateAgg`) in the [`ReliableLink`] ack/retransmit envelope
-//! so random message loss no longer stalls epochs; receivers suppress
+//! The `rel` switch of [`peers`](ResilientProtocol::peers) additionally
+//! wraps every *query-critical* message (`Start`, `GroupAgg`, `Heavy`,
+//! `CandidateAgg`) in the repairing variant of the ack/retransmit
+//! [`Envelope`] so random message loss no longer stalls epochs; receivers suppress
 //! duplicates before they can double-merge an accumulator, and in-flight
 //! frames to a peer that just got suspected are abandoned rather than
 //! retried into silence. Maintenance traffic stays unreliable —
@@ -78,8 +79,8 @@ use ifi_agg::{Aggregate, MapSum, VecSum};
 use ifi_hierarchy::{Hierarchy, MaintainCore, MaintainMsg, MultiHierarchy};
 use ifi_overlay::{HeartbeatConfig, Topology};
 use ifi_sim::{
-    mix64, sansio_world, Des, Duration, Effects, Membership, MsgClass, NodeEvent, PeerId, PeerSet,
-    RelConfig, ReliableLink, ReliableMsg, Retransmit, SansIo, SimConfig, SimTime, TimerToken,
+    mix64, sansio_world, Des, Duration, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId,
+    PeerSet, RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, TimerToken,
     World,
 };
 use ifi_workload::{ItemId, SystemData};
@@ -243,9 +244,15 @@ pub enum RTimer {
     Tick,
     /// Acting root only: start the next query epoch.
     NewEpoch,
-    /// Retransmission deadline for the reliable frame with this sequence
-    /// number (only armed when reliability is enabled).
-    Retransmit(u64),
+    /// An [`Envelope`] retransmit check (only armed when reliability is
+    /// enabled).
+    Retransmit(RetransmitTimer),
+}
+
+impl From<RetransmitTimer> for RTimer {
+    fn from(t: RetransmitTimer) -> Self {
+        RTimer::Retransmit(t)
+    }
 }
 
 /// Timing knobs for the resilient protocol.
@@ -345,8 +352,8 @@ pub struct ResilientProtocol {
     /// Root only: when the current epoch was started.
     epoch_started_at: SimTime,
     started_before: bool,
-    /// Ack/retransmit envelope for query-critical traffic, when enabled.
-    rel: Option<ReliableLink<RMsg>>,
+    /// Query-critical traffic rides this envelope; plain by default.
+    env: Envelope<RMsg>,
     /// Regression toggle: restore the pre-fix aggregation bug where the
     /// per-sender insert-guard did not protect the merge, so a duplicated
     /// `GroupAgg`/`CandidateAgg` frame was folded in twice. Exists only so
@@ -373,31 +380,6 @@ impl ResilientProtocol {
             rc,
             hierarchy,
             vec![root],
-            peer,
-            neighbors,
-            local_items,
-            threshold,
-        )
-    }
-
-    /// Creates the state for one peer with a root-succession line: every
-    /// peer serves the primary tree, and `multi`'s roots (primary first)
-    /// form the failover order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_multi(
-        config: &NetFilterConfig,
-        rc: ResilientConfig,
-        multi: &MultiHierarchy,
-        peer: PeerId,
-        neighbors: Vec<PeerId>,
-        local_items: Vec<(ItemId, u64)>,
-        threshold: u64,
-    ) -> Self {
-        Self::with_succession(
-            config,
-            rc,
-            multi.primary(),
-            multi.roots(),
             peer,
             neighbors,
             local_items,
@@ -451,7 +433,7 @@ impl ResilientProtocol {
             completed: Vec::new(),
             epoch_started_at: SimTime::ZERO,
             started_before: false,
-            rel: None,
+            env: Envelope::plain(),
             legacy_double_merge: false,
         }
     }
@@ -473,38 +455,58 @@ impl ResilientProtocol {
     /// Maintenance traffic is untouched.
     #[must_use]
     pub fn with_reliability(mut self, cfg: RelConfig) -> Self {
-        self.rel = Some(ReliableLink::new(cfg));
+        self.env = Envelope::repairing(cfg);
         self
     }
 
-    fn assemble(
+    /// The peer population as bare cores for any driver. Every peer
+    /// serves `hierarchy`, and `succession` (primary root first) is the
+    /// root-failover order: `[hierarchy.root()]` for a single root, or a
+    /// [`MultiHierarchy`]'s roots for live failover. `rel` wraps every
+    /// peer's query-critical traffic in the reliability envelope.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the universes differ.
+    pub fn peers(
         config: &NetFilterConfig,
+        rc: ResilientConfig,
         topology: &Topology,
+        hierarchy: &Hierarchy,
+        succession: &[PeerId],
         data: &SystemData,
-        sim: SimConfig,
-        mk: impl Fn(PeerId, Vec<PeerId>, Vec<(ItemId, u64)>, u64) -> ResilientProtocol,
-    ) -> World<Des<ResilientProtocol>> {
+        rel: Option<RelConfig>,
+    ) -> Vec<ResilientProtocol> {
+        assert_eq!(hierarchy.universe(), data.peer_count(), "universe mismatch");
         assert_eq!(
             topology.peer_count(),
             data.peer_count(),
             "universe mismatch"
         );
         let threshold = config.threshold.resolve(data.total_value());
-        let peers = (0..data.peer_count())
+        (0..data.peer_count())
             .map(|i| {
                 let p = PeerId::new(i);
-                mk(
+                let core = Self::with_succession(
+                    config,
+                    rc,
+                    hierarchy,
+                    succession.to_vec(),
                     p,
                     topology.neighbors(p).to_vec(),
                     data.local_items(p).to_vec(),
                     threshold,
-                )
+                );
+                match &rel {
+                    None => core,
+                    Some(cfg) => core.with_reliability(cfg.clone()),
+                }
             })
-            .collect();
-        sansio_world(sim, peers)
+            .collect()
     }
 
-    /// Builds a ready-to-run world over `topology`, `hierarchy`, `data`.
+    /// Builds a ready-to-run world over `topology`, `hierarchy`, `data`
+    /// (single root, envelope off).
     ///
     /// # Panics
     ///
@@ -517,36 +519,13 @@ impl ResilientProtocol {
         data: &SystemData,
         sim: SimConfig,
     ) -> World<Des<ResilientProtocol>> {
-        assert_eq!(hierarchy.universe(), data.peer_count(), "universe mismatch");
-        Self::assemble(config, topology, data, sim, |p, nb, items, t| {
-            ResilientProtocol::new(config, rc, hierarchy, p, nb, items, t)
-        })
-    }
-
-    /// Like [`build_world`](Self::build_world), with every peer's
-    /// query-critical traffic wrapped in the `rel` reliability envelope.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn build_world_reliable(
-        config: &NetFilterConfig,
-        rc: ResilientConfig,
-        topology: &Topology,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<ResilientProtocol>> {
-        assert_eq!(hierarchy.universe(), data.peer_count(), "universe mismatch");
-        Self::assemble(config, topology, data, sim, |p, nb, items, t| {
-            ResilientProtocol::new(config, rc, hierarchy, p, nb, items, t)
-                .with_reliability(rel.clone())
-        })
+        let roots = [hierarchy.root()];
+        let peers = Self::peers(config, rc, topology, hierarchy, &roots, data, None);
+        sansio_world(sim, peers)
     }
 
     /// Builds a world with live root failover over `multi`'s succession
-    /// line (all peers start on the primary tree).
+    /// line (all peers start on the primary tree; envelope off).
     ///
     /// # Panics
     ///
@@ -559,41 +538,9 @@ impl ResilientProtocol {
         data: &SystemData,
         sim: SimConfig,
     ) -> World<Des<ResilientProtocol>> {
-        assert_eq!(
-            multi.primary().universe(),
-            data.peer_count(),
-            "universe mismatch"
-        );
-        Self::assemble(config, topology, data, sim, |p, nb, items, t| {
-            ResilientProtocol::new_multi(config, rc, multi, p, nb, items, t)
-        })
-    }
-
-    /// Like [`build_world_multi`](Self::build_world_multi), with the
-    /// reliability envelope on query-critical traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_world_multi_reliable(
-        config: &NetFilterConfig,
-        rc: ResilientConfig,
-        topology: &Topology,
-        multi: &MultiHierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<ResilientProtocol>> {
-        assert_eq!(
-            multi.primary().universe(),
-            data.peer_count(),
-            "universe mismatch"
-        );
-        Self::assemble(config, topology, data, sim, |p, nb, items, t| {
-            ResilientProtocol::new_multi(config, rc, multi, p, nb, items, t)
-                .with_reliability(rel.clone())
-        })
+        let roots = multi.roots();
+        let peers = Self::peers(config, rc, topology, multi.primary(), &roots, data, None);
+        sansio_world(sim, peers)
     }
 
     /// Root only: the completed epochs, oldest first.
@@ -671,32 +618,6 @@ impl ResilientProtocol {
         }
     }
 
-    /// Sends a query-critical message, through the reliability envelope
-    /// when one is enabled.
-    ///
-    /// The first copy is charged to the caller's phase and `class`;
-    /// retransmissions and acks go to [`MsgClass::RETRANSMIT`]. Callers
-    /// mark their phase before calling, as with a plain `ctx.send`.
-    fn send_query(
-        &mut self,
-        fx: &mut Effects<Self>,
-        to: PeerId,
-        msg: RMsg,
-        bytes: u64,
-        class: MsgClass,
-    ) {
-        match self.rel.as_mut() {
-            None => {
-                fx.send(to, ReliableMsg::Plain(msg), bytes, class);
-            }
-            Some(link) => {
-                let (seq, frame) = link.send_data(to, msg, bytes);
-                fx.send(to, frame, bytes, class);
-                fx.set_timer(link.rto(seq, 0), RTimer::Retransmit(seq));
-            }
-        }
-    }
-
     fn reset_epoch(&mut self, epoch: u64, parent: Option<PeerId>) {
         self.epoch = epoch;
         self.epoch_parent = parent;
@@ -733,7 +654,7 @@ impl ResilientProtocol {
             let bytes = acc.encoded_bytes(&self.sizes);
             let census = self.p1_census;
             fx.mark_phase(phases::FILTERING);
-            self.send_query(
+            self.env.send(
                 fx,
                 parent,
                 RMsg::GroupAgg {
@@ -755,7 +676,7 @@ impl ResilientProtocol {
         let list_bytes = self.sizes.sg * heavy.total_heavy() as u64;
         fx.mark_phase(phases::DISSEMINATION);
         for c in self.core.children() {
-            self.send_query(
+            self.env.send(
                 fx,
                 c,
                 RMsg::Heavy {
@@ -821,7 +742,7 @@ impl ResilientProtocol {
             let bytes = acc.encoded_bytes(&self.sizes);
             let census = self.p2_census;
             fx.mark_phase(phases::AGGREGATION);
-            self.send_query(
+            self.env.send(
                 fx,
                 parent,
                 RMsg::CandidateAgg {
@@ -935,7 +856,7 @@ impl ResilientProtocol {
         self.roster = roster;
         fx.mark_phase(phases::EPOCH);
         for c in self.core.children() {
-            self.send_query(
+            self.env.send(
                 fx,
                 c,
                 RMsg::Start { epoch: next },
@@ -974,7 +895,8 @@ impl ResilientProtocol {
                 self.reset_epoch(epoch, Some(from));
                 fx.mark_phase(phases::EPOCH);
                 for c in self.core.children() {
-                    self.send_query(fx, c, RMsg::Start { epoch }, START_BYTES, MsgClass::CONTROL);
+                    self.env
+                        .send(fx, c, RMsg::Start { epoch }, START_BYTES, MsgClass::CONTROL);
                 }
                 self.check_p1(fx);
             }
@@ -1025,54 +947,6 @@ impl ResilientProtocol {
         }
     }
 
-    /// Unwraps the reliability envelope and dispatches the payload.
-    fn on_frame(
-        &mut self,
-        fx: &mut Effects<Self>,
-        now: SimTime,
-        from: PeerId,
-        msg: ReliableMsg<RMsg>,
-    ) {
-        let payload = match msg {
-            ReliableMsg::Plain(m) => m,
-            ReliableMsg::Data { inc, seq, payload } => {
-                let Some(link) = self.rel.as_mut() else {
-                    // A sequenced frame arriving at a peer that never
-                    // enabled reliability is a configuration mismatch, not
-                    // a reason to take the node down: drop it and record
-                    // the anomaly.
-                    fx.warn("sequenced-frame-without-reliability");
-                    return;
-                };
-                let ack_bytes = link.cfg().ack_bytes;
-                // Ack every copy (the sender's previous ack may have been
-                // lost), but dispatch only the first: a duplicate `GroupAgg`
-                // or `CandidateAgg` would double-merge its accumulator. The
-                // ack echoes the frame's incarnation so a restarted sender
-                // never credits a pre-crash ack to a post-crash frame.
-                let fresh = link.accept(from, inc, seq);
-                fx.mark_phase(phases::RETRANSMIT);
-                fx.send(
-                    from,
-                    ReliableMsg::Ack { inc, seq },
-                    ack_bytes,
-                    MsgClass::RETRANSMIT,
-                );
-                if !fresh {
-                    return;
-                }
-                payload
-            }
-            ReliableMsg::Ack { inc, seq } => {
-                if let Some(link) = self.rel.as_mut() {
-                    link.on_ack(from, inc, seq);
-                }
-                return;
-            }
-        };
-        self.on_payload(fx, now, from, payload);
-    }
-
     fn on_timer(
         &mut self,
         fx: &mut Effects<Self>,
@@ -1086,10 +960,8 @@ impl ResilientProtocol {
                 // Stop retransmitting toward peers that just died: every
                 // pending frame to them would otherwise burn its full
                 // retry budget against a silent destination.
-                if let Some(link) = self.rel.as_mut() {
-                    for &d in &outcome.newly_dead {
-                        link.abandon(d);
-                    }
+                for &d in &outcome.newly_dead {
+                    self.env.abandon(d);
                 }
                 self.flush_maintain(fx, outcome.out);
                 fx.set_timer(self.rc.heartbeat.interval, RTimer::Tick);
@@ -1120,34 +992,11 @@ impl ResilientProtocol {
                 }
                 self.epoch_timer = Some(fx.set_timer(self.rc.query_period, RTimer::NewEpoch));
             }
-            RTimer::Retransmit(seq) => {
-                let Some(link) = self.rel.as_mut() else {
-                    // Same configuration mismatch as above, from the timer
-                    // side: nothing to retransmit, so just log and move on.
-                    fx.warn("retransmit-timer-without-reliability");
-                    return;
-                };
-                match link.retransmit(seq) {
-                    Retransmit::Resend {
-                        to,
-                        frame,
-                        bytes,
-                        next_delay,
-                    } => {
-                        fx.mark_phase(phases::RETRANSMIT);
-                        fx.send(to, frame, bytes, MsgClass::RETRANSMIT);
-                        fx.set_timer(next_delay, RTimer::Retransmit(seq));
-                    }
-                    Retransmit::Acked => {}
-                    Retransmit::GaveUp { .. } => {
-                        // The destination is unreachable (or the frame
-                        // belongs to a long-superseded epoch). Stop trying:
-                        // the stalled epoch is exactly what the root's
-                        // `NewEpoch` timeout supersedes over the repaired
-                        // tree, so reliability defers to epoch repair here.
-                    }
-                }
-            }
+            // On give-up the destination is unreachable (or the frame
+            // belongs to a long-superseded epoch): the stalled epoch is
+            // exactly what the root's `NewEpoch` timeout supersedes over the
+            // repaired tree, so reliability defers to epoch repair here.
+            RTimer::Retransmit(t) => self.env.on_retransmit(fx, t),
         }
     }
 }
@@ -1180,10 +1029,8 @@ impl SansIo for ResilientProtocol {
                     // The restart also invalidates the reliability window:
                     // a new incarnation keeps late pre-crash duplicates
                     // from double-dispatching against the fresh sequence
-                    // space.
-                    if let Some(link) = self.rel.as_mut() {
-                        link.on_restart();
-                    }
+                    // space. Epochs repair the rest, so nothing is re-sent.
+                    self.env.on_revival(fx);
                 } else {
                     self.started_before = true;
                     self.core.start(now);
@@ -1193,7 +1040,14 @@ impl SansIo for ResilientProtocol {
                     self.epoch_timer = Some(fx.set_timer(self.rc.query_period, RTimer::NewEpoch));
                 }
             }
-            NodeEvent::Message { from, msg } => self.on_frame(fx, now, from, msg),
+            NodeEvent::Message { from, msg } => {
+                // Duplicates are suppressed before dispatch: a duplicate
+                // `GroupAgg` or `CandidateAgg` would double-merge its
+                // accumulator.
+                if let Some(payload) = self.env.on_frame(fx, from, msg) {
+                    self.on_payload(fx, now, from, payload);
+                }
+            }
             NodeEvent::Timer { tag } => self.on_timer(fx, now, env, tag),
         }
     }
@@ -1441,14 +1295,17 @@ mod tests {
             .with_drop(0.1)
             .with_duplication(0.05);
         let sim = SimConfig::default().with_seed(9).with_faults(faults);
-        let mut w = ResilientProtocol::build_world_reliable(
-            &cfg,
-            rcfg,
-            &topo,
-            &h,
-            &data,
+        let mut w = sansio_world(
             sim,
-            ifi_sim::RelConfig::default(),
+            ResilientProtocol::peers(
+                &cfg,
+                rcfg,
+                &topo,
+                &h,
+                &[h.root()],
+                &data,
+                Some(ifi_sim::RelConfig::default()),
+            ),
         );
         w.start();
         w.run_until(SimTime::from_micros(60_000_000));

@@ -42,14 +42,13 @@
 
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Des, Effects, Membership, MsgClass, NodeEvent, PeerId, PeerMap, PeerSet,
-    RelConfig, ReliableMsg, SansIo, SimConfig, SimTime, World,
+    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, PeerMap,
+    PeerSet, RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
 };
 use ifi_workload::{ItemId, SystemData};
 use std::collections::BTreeMap;
 
 use crate::config::Threshold;
-use crate::envelope::{Envelope, RetransmitTimer};
 use crate::WireSizes;
 
 /// A capacity-bounded mergeable summary of a weighted item stream
@@ -322,19 +321,6 @@ impl SketchProtocol {
         sansio_world(sim, Self::peers(config, hierarchy, data, None))
     }
 
-    /// Like [`build_world`](Self::build_world) with the ack/retransmit
-    /// envelope on every peer — required for bounded answers when the
-    /// simulation injects faults.
-    pub fn build_world_reliable(
-        config: &SketchConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<SketchProtocol>> {
-        sansio_world(sim, Self::peers(config, hierarchy, data, Some(rel)))
-    }
-
     /// The peer population `build_world` wraps, as bare cores for any
     /// driver (the transport crate's `run_channel` takes these directly).
     pub fn peers(
@@ -559,8 +545,10 @@ mod tests {
         let sim = SimConfig::default()
             .with_seed(9)
             .with_faults(FaultPlan::none().with_drop(0.15).with_duplication(0.1));
-        let mut lossy =
-            SketchProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+        let mut lossy = sansio_world(
+            sim,
+            SketchProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
+        );
         lossy.start();
         lossy.run_to_quiescence();
         let got = lossy.peer(h.root()).result().expect("lossy answer").clone();

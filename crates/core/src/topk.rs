@@ -34,12 +34,11 @@ use std::collections::BTreeMap;
 
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Des, Effects, Membership, MsgClass, NodeEvent, PeerId, PeerMap, PeerSet,
-    RelConfig, ReliableMsg, SansIo, SimConfig, SimTime, World,
+    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, PeerMap,
+    PeerSet, RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
 };
 use ifi_workload::{ItemId, SystemData};
 
-use crate::envelope::{Envelope, RetransmitTimer};
 use crate::WireSizes;
 
 /// One candidate entry: partial-sum bounds for an item over the subtree a
@@ -348,18 +347,6 @@ impl TopKProtocol {
         sim: SimConfig,
     ) -> World<Des<TopKProtocol>> {
         sansio_world(sim, Self::peers(config, hierarchy, data, None))
-    }
-
-    /// Like [`build_world`](Self::build_world) with the ack/retransmit
-    /// envelope on every peer.
-    pub fn build_world_reliable(
-        config: &TopKConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<TopKProtocol>> {
-        sansio_world(sim, Self::peers(config, hierarchy, data, Some(rel)))
     }
 
     /// The peer population as bare cores for any driver.
@@ -734,8 +721,10 @@ mod tests {
         let sim = SimConfig::default()
             .with_seed(5)
             .with_faults(FaultPlan::none().with_drop(0.15).with_duplication(0.1));
-        let mut lossy =
-            TopKProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+        let mut lossy = sansio_world(
+            sim,
+            TopKProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
+        );
         lossy.start();
         lossy.run_to_quiescence();
         let got = lossy.peer(h.root()).result().expect("lossy answer").clone();

@@ -6,12 +6,12 @@
 //! detachment flooding, and re-attachment to the first finite-depth
 //! neighbor heard from).
 
-use ifi_overlay::HeartbeatConfig;
+use ifi_overlay::{HeartbeatConfig, Topology};
 
 use crate::maintain_core::MaintainCore;
 use ifi_sim::{
-    Des, Effects, Membership, MsgClass, NodeEvent, PeerId, RelConfig, ReliableLink, ReliableMsg,
-    Retransmit, SansIo, SimTime,
+    Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig, ReliableMsg,
+    RetransmitTimer, SansIo, SimTime,
 };
 
 use crate::tree::Hierarchy;
@@ -195,9 +195,15 @@ impl MaintainMsg {
 pub enum MaintainTimer {
     /// Periodic heartbeat tick.
     Tick,
-    /// Retransmission deadline for the reliable frame with this sequence
-    /// number (only armed when reliability is enabled).
-    Retransmit(u64),
+    /// An [`Envelope`] retransmit check (only armed when reliability is
+    /// enabled).
+    Retransmit(RetransmitTimer),
+}
+
+impl From<RetransmitTimer> for MaintainTimer {
+    fn from(t: RetransmitTimer) -> Self {
+        MaintainTimer::Retransmit(t)
+    }
 }
 
 /// Steady-state hierarchy maintenance (§III-A.3).
@@ -215,8 +221,8 @@ pub enum MaintainTimer {
 pub struct MaintainProtocol {
     core: MaintainCore,
     started_before: bool,
-    /// Ack/retransmit envelope for send-once repair traffic, when enabled.
-    rel: Option<ReliableLink<MaintainMsg>>,
+    /// Send-once repair traffic rides this envelope; plain by default.
+    env: Envelope<MaintainMsg>,
 }
 
 impl MaintainProtocol {
@@ -230,8 +236,30 @@ impl MaintainProtocol {
         MaintainProtocol {
             core: MaintainCore::new(hierarchy, peer, neighbors, config),
             started_before: false,
-            rel: None,
+            env: Envelope::plain(),
         }
+    }
+
+    /// The peer population over `topology` and `hierarchy`, as bare cores
+    /// for any driver; `rel` switches the envelope on (see
+    /// [`with_reliability`](Self::with_reliability)).
+    pub fn peers(
+        topology: &Topology,
+        hierarchy: &Hierarchy,
+        config: HeartbeatConfig,
+        rel: Option<RelConfig>,
+    ) -> Vec<MaintainProtocol> {
+        topology
+            .peers()
+            .map(|p| {
+                let core =
+                    MaintainProtocol::new(hierarchy, p, topology.neighbors(p).to_vec(), config);
+                match &rel {
+                    None => core,
+                    Some(cfg) => core.with_reliability(cfg.clone()),
+                }
+            })
+            .collect()
     }
 
     /// Enables the ack/retransmit envelope for send-once repair messages
@@ -239,7 +267,7 @@ impl MaintainProtocol {
     /// so a fault-free run sends exactly the same bytes as without this.
     #[must_use]
     pub fn with_reliability(mut self, cfg: RelConfig) -> Self {
-        self.rel = Some(ReliableLink::new(cfg));
+        self.env = Envelope::repairing(cfg);
         self
     }
 
@@ -279,11 +307,6 @@ impl MaintainProtocol {
         self.core.tracked_high_water()
     }
 
-    /// Peak reliable-link dedup-arena occupancy; 0 without reliability.
-    pub fn dedup_high_water(&self) -> usize {
-        self.rel.as_ref().map_or(0, |r| r.dedup_high_water())
-    }
-
     /// Re-introduces the historical churn-race panic (see
     /// [`MaintainCore::enable_legacy_churn_race`]). Test tooling only.
     #[doc(hidden)]
@@ -310,15 +333,10 @@ impl MaintainProtocol {
                 MaintainMsg::Heartbeat { .. } => MsgClass::HEARTBEAT,
                 _ => MsgClass::CONTROL,
             };
-            match self.rel.as_mut() {
-                Some(link) if msg.is_send_once() => {
-                    let (seq, frame) = link.send_data(to, msg, bytes);
-                    fx.send(to, frame, bytes, class);
-                    fx.set_timer(link.rto(seq, 0), MaintainTimer::Retransmit(seq));
-                }
-                _ => {
-                    fx.send(to, ReliableMsg::Plain(msg), bytes, class);
-                }
+            if msg.is_send_once() {
+                self.env.send(fx, to, msg, bytes, class);
+            } else {
+                fx.send(to, ReliableMsg::Plain(msg), bytes, class);
             }
         }
     }
@@ -348,40 +366,10 @@ impl MaintainProtocol {
         msg: ReliableMsg<MaintainMsg>,
         fx: &mut Effects<Self>,
     ) {
-        let payload = match msg {
-            ReliableMsg::Plain(m) => m,
-            ReliableMsg::Data { inc, seq, payload } => {
-                let Some(link) = self.rel.as_mut() else {
-                    // A sequenced frame at a peer with no reliability
-                    // envelope is a configuration mismatch between the two
-                    // ends; drop it rather than take the node down.
-                    fx.warn("sequenced-frame-without-reliability");
-                    return;
-                };
-                let ack_bytes = link.cfg().ack_bytes;
-                // Ack every copy (the previous ack may have been lost);
-                // dispatch only the first so a duplicated Detach cannot
-                // bump `detach_count` twice. The ack echoes the frame's
-                // incarnation so the sender can match it to the right life.
-                let fresh = link.accept(from, inc, seq);
-                fx.mark_phase("retransmit");
-                fx.send(
-                    from,
-                    ReliableMsg::Ack { inc, seq },
-                    ack_bytes,
-                    MsgClass::RETRANSMIT,
-                );
-                if !fresh {
-                    return;
-                }
-                payload
-            }
-            ReliableMsg::Ack { inc, seq } => {
-                if let Some(link) = self.rel.as_mut() {
-                    link.on_ack(from, inc, seq);
-                }
-                return;
-            }
+        // Duplicates are suppressed before dispatch, so a duplicated
+        // Detach cannot bump `detach_count` twice.
+        let Some(payload) = self.env.on_frame(fx, from, msg) else {
+            return;
         };
         let out = self.core.on_message(from, payload, now);
         self.flush(fx, out);
@@ -394,40 +382,13 @@ impl MaintainProtocol {
                 // Stop retransmitting toward peers that just died: every
                 // pending frame to them would otherwise burn its full retry
                 // budget against a silent destination.
-                if let Some(link) = self.rel.as_mut() {
-                    for &d in &outcome.newly_dead {
-                        link.abandon(d);
-                    }
+                for &d in &outcome.newly_dead {
+                    self.env.abandon(d);
                 }
                 self.flush(fx, outcome.out);
                 fx.set_timer(self.core.config().interval, MaintainTimer::Tick);
             }
-            MaintainTimer::Retransmit(seq) => {
-                let Some(link) = self.rel.as_mut() else {
-                    // Only reachable if reliability was torn down after the
-                    // timer was armed; nothing to resend.
-                    fx.warn("retransmit-timer-without-reliability");
-                    return;
-                };
-                match link.retransmit(seq) {
-                    Retransmit::Resend {
-                        to,
-                        frame,
-                        bytes,
-                        next_delay,
-                    } => {
-                        fx.mark_phase("retransmit");
-                        fx.send(to, frame, bytes, MsgClass::RETRANSMIT);
-                        fx.set_timer(next_delay, MaintainTimer::Retransmit(seq));
-                    }
-                    Retransmit::Acked => {}
-                    Retransmit::GaveUp { .. } => {
-                        // The destination died mid-cascade: its own state is
-                        // gone with it, and any parent-side bookkeeping for
-                        // it expires via the children stamp map.
-                    }
-                }
-            }
+            MaintainTimer::Retransmit(t) => self.env.on_retransmit(fx, t),
         }
     }
 }
@@ -449,13 +410,11 @@ impl SansIo for MaintainProtocol {
                 if self.started_before {
                     // Crash-revival or late join: come back as a fresh,
                     // detached participant and re-attach via heartbeats
-                    // (§III-A.3). The reliable link starts a new life too:
-                    // its sequence space resets under a fresh incarnation
-                    // so late frames from the previous life cannot alias.
+                    // (§III-A.3). The envelope starts a new life too: its
+                    // sequence space resets under a fresh incarnation so
+                    // late frames from the previous life cannot alias.
                     self.core.rejoin(now);
-                    if let Some(link) = self.rel.as_mut() {
-                        link.on_restart();
-                    }
+                    self.env.on_revival(fx);
                 } else {
                     self.started_before = true;
                     self.core.start(now);
@@ -471,7 +430,6 @@ impl SansIo for MaintainProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifi_overlay::Topology;
     use ifi_sim::{sansio_world, DetRng, Duration, SimConfig, SimTime, World};
 
     fn build_world(topo: &Topology, root: PeerId, seed: u64) -> World<Des<BuildProtocol>> {
@@ -533,10 +491,7 @@ mod tests {
             timeout: Duration::from_millis(1600),
             bytes: 8,
         };
-        let peers: Vec<MaintainProtocol> = topo
-            .peers()
-            .map(|p| MaintainProtocol::new(h, p, topo.neighbors(p).to_vec(), cfg))
-            .collect();
+        let peers = MaintainProtocol::peers(topo, h, cfg, None);
         sansio_world(
             SimConfig::default()
                 .with_seed(seed)
@@ -659,13 +614,7 @@ mod tests {
             timeout: Duration::from_millis(5_000),
             bytes: 8,
         };
-        let peers: Vec<MaintainProtocol> = topo
-            .peers()
-            .map(|p| {
-                MaintainProtocol::new(&h, p, topo.neighbors(p).to_vec(), cfg)
-                    .with_reliability(ifi_sim::RelConfig::default())
-            })
-            .collect();
+        let peers = MaintainProtocol::peers(&topo, &h, cfg, Some(RelConfig::default()));
         let sim = SimConfig::default().with_seed(37).with_faults(
             ifi_sim::FaultPlan::none()
                 .with_drop(0.3)
@@ -701,17 +650,8 @@ mod tests {
             bytes: 8,
         };
         let run = |reliable: bool| {
-            let peers: Vec<MaintainProtocol> = topo
-                .peers()
-                .map(|p| {
-                    let m = MaintainProtocol::new(&h, p, topo.neighbors(p).to_vec(), cfg);
-                    if reliable {
-                        m.with_reliability(ifi_sim::RelConfig::default())
-                    } else {
-                        m
-                    }
-                })
-                .collect();
+            let rel = reliable.then(RelConfig::default);
+            let peers = MaintainProtocol::peers(&topo, &h, cfg, rel);
             let mut w = sansio_world(SimConfig::default().with_seed(43), peers);
             w.start();
             w.run_until(SimTime::from_micros(10_000_000));
@@ -806,13 +746,7 @@ mod tests {
             timeout: Duration::from_millis(1600),
             bytes: 8,
         };
-        let peers: Vec<MaintainProtocol> = topo
-            .peers()
-            .map(|p| {
-                MaintainProtocol::new(&h, p, topo.neighbors(p).to_vec(), cfg)
-                    .with_reliability(ifi_sim::RelConfig::default())
-            })
-            .collect();
+        let peers = MaintainProtocol::peers(&topo, &h, cfg, Some(RelConfig::default()));
         let mut w = sansio_world(
             SimConfig::default()
                 .with_seed(59)
@@ -875,13 +809,7 @@ mod tests {
             timeout: Duration::from_millis(1600),
             bytes: 8,
         };
-        let peers: Vec<MaintainProtocol> = topo
-            .peers()
-            .map(|p| {
-                MaintainProtocol::new(&h, p, topo.neighbors(p).to_vec(), cfg)
-                    .with_reliability(ifi_sim::RelConfig::default())
-            })
-            .collect();
+        let peers = MaintainProtocol::peers(&topo, &h, cfg, Some(RelConfig::default()));
         let mut w = sansio_world(
             SimConfig::default()
                 .with_seed(61)

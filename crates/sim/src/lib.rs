@@ -12,9 +12,9 @@
 //!   and optional loss,
 //! * per-peer timers,
 //! * configurable fault injection ([`FaultPlan`]: per-class drops,
-//!   duplication, delay spikes, deterministic drop schedules) plus an
-//!   ack/retransmit reliability envelope ([`ReliableLink`]) protocols can
-//!   adopt to stay exact under loss,
+//!   duplication, delay spikes, deterministic drop schedules) plus the
+//!   ack/retransmit reliability envelope ([`Envelope`]) every protocol
+//!   core adopts to stay exact under loss,
 //! * peer failure/recovery (churn) injected by the driver,
 //! * per-peer, per-message-class **byte accounting** ([`Metrics`]) — the
 //!   paper's sole performance metric is *bytes propagated per peer*, so the
@@ -80,7 +80,7 @@ pub use id::PeerId;
 pub use metrics::{ClassTotals, Metrics, MsgClass};
 pub use network::LatencyModel;
 pub use obs::{EventSink, MetricsReport, PhaseMetrics};
-pub use reliable::{backoff_delay, RelConfig, ReliableLink, ReliableMsg, Retransmit};
+pub use reliable::{backoff_delay, Envelope, RelConfig, ReliableMsg, RetransmitTimer};
 pub use rng::{mix64, DetRng};
 pub use sansio::{
     sansio_world, AllUp, Des, Effect, EffectBuf, Effects, Membership, NodeEvent, SansIo, TimerToken,

@@ -181,8 +181,10 @@ fn netfilter_clean(seed: u64) -> Case {
                 .with_duplication(0.05)
                 .with_scheduled_drops(drops.iter().copied()),
         );
-        let mut w =
-            NetFilterProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+        let mut w = sansio_world(
+            sim,
+            NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default()), false),
+        );
         w.enable_metrics_sink();
         w.enable_trace(64);
         w
@@ -313,18 +315,14 @@ fn maintain_case(
     let h = Hierarchy::bfs(&topo, root);
     let topo2 = topo.clone();
     let build = move |drops: &[u64]| {
-        let peers: Vec<MaintainProtocol> = (0..topo.peer_count())
-            .map(|i| {
-                let p = PeerId::new(i);
-                let mut mp = MaintainProtocol::new(&h, p, topo.neighbors(p).to_vec(), hb());
-                match legacy {
-                    MaintainLegacy::None => {}
-                    MaintainLegacy::ChurnRace => mp.enable_legacy_churn_race(),
-                    MaintainLegacy::UnboundedDepth => mp.enable_legacy_unbounded_depth(),
-                }
-                mp
-            })
-            .collect();
+        let mut peers = MaintainProtocol::peers(&topo, &h, hb(), None);
+        for mp in &mut peers {
+            match legacy {
+                MaintainLegacy::None => {}
+                MaintainLegacy::ChurnRace => mp.enable_legacy_churn_race(),
+                MaintainLegacy::UnboundedDepth => mp.enable_legacy_unbounded_depth(),
+            }
+        }
         let sim = SimConfig::default()
             .with_seed(seed)
             .with_faults(FaultPlan::none().with_scheduled_drops(drops.iter().copied()));

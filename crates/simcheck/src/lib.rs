@@ -13,7 +13,7 @@
 //!   at the end of a run: IFI exactness against the ground-truth fold,
 //!   cost reconciliation, hierarchy well-formedness, epoch-fence
 //!   monotonicity, answer non-inflation, and certificate soundness.
-//! * [`explore`] — the trial loop: run many perturbed schedules, count
+//! * [`explore`](mod@explore) — the trial loop: run many perturbed schedules, count
 //!   distinct schedule fingerprints, and stop at the first oracle
 //!   violation (handler panics are captured and reported as violations).
 //! * [`shrink`] — greedy minimization of a violating perturbation to a

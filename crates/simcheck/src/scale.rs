@@ -115,12 +115,7 @@ pub fn run_scale_check(n: usize, seed: u64) -> Vec<ScaleVerdict> {
     {
         let topo = Topology::random_regular(n, 4, &mut DetRng::new(seed));
         let h = Hierarchy::bfs(&topo, PeerId::new(0));
-        let peers: Vec<MaintainProtocol> = (0..n)
-            .map(|i| {
-                let p = PeerId::new(i);
-                MaintainProtocol::new(&h, p, topo.neighbors(p).to_vec(), hb())
-            })
-            .collect();
+        let peers = MaintainProtocol::peers(&topo, &h, hb(), None);
         let mut w = sansio_world(SimConfig::default().with_seed(seed), peers);
         w.schedule_kill(secs(5), PeerId::new(7));
         w.start();

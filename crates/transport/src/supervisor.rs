@@ -2,7 +2,7 @@
 //! jitter for the per-peer reconnect loop.
 //!
 //! The transport reuses the reliability envelope's retransmission
-//! schedule (`ifi_sim::backoff_delay`, the exact math `ReliableLink`
+//! schedule (`ifi_sim::backoff_delay`, the exact math the `Envelope`
 //! applies to unacked frames) for its reconnect attempts: base RTO
 //! doubled per attempt, capped, plus a deterministic salt-keyed jitter so
 //! a fleet of peers severed by the same partition does not redial in

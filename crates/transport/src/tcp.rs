@@ -13,7 +13,10 @@
 //! traffic. Connection resets and crash teardowns sever a peer's socket;
 //! the supervisor's reconnect loop redials through the hub's persistent
 //! accept loop, which rebinds the peer's hub-side route on every fresh
-//! hello. A zero-length payload addressed to its own sender is the
+//! hello. Frames for a peer whose first hello the hub has not yet
+//! processed are held and flushed when its route is installed, so a send
+//! racing the destination's dial is never lost; a route severed later
+//! drops frames like any broken link. A zero-length payload addressed to its own sender is the
 //! health-check ping: the hub routes it back like any frame, and the
 //! peer's reader answers the supervisor with a pong — a real round-trip
 //! over both socket directions.
@@ -98,6 +101,20 @@ pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<(PeerId, PeerId
     )))
 }
 
+/// The hub's route to one destination peer.
+enum Route {
+    /// No hello yet: frames `(from, payload)` wait here, in arrival order,
+    /// and flush when the route is installed.
+    Held(Vec<(PeerId, Vec<u8>)>),
+    /// Installed by the peer's latest hello.
+    Up(TcpStream),
+    /// Severed after it was up: frames drop until the peer redials.
+    Down,
+}
+
+/// Every destination's route, by peer.
+type Routes = Arc<Vec<Mutex<Route>>>;
+
 /// The hub: a persistent accept loop plus one forwarder thread per
 /// inbound connection. Chaos verdicts are applied here, to serialized
 /// frames in flight.
@@ -106,7 +123,7 @@ struct Hub {
     accepting: Arc<AtomicBool>,
     accept_handle: Mutex<Option<JoinHandle<()>>>,
     forwarders: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    dests: Arc<Vec<Mutex<Option<TcpStream>>>>,
+    dests: Routes,
     courier: Arc<Courier>,
 }
 
@@ -115,8 +132,11 @@ impl Hub {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let accepting = Arc::new(AtomicBool::new(true));
-        let dests: Arc<Vec<Mutex<Option<TcpStream>>>> =
-            Arc::new((0..n).map(|_| Mutex::new(None)).collect());
+        let dests: Routes = Arc::new(
+            (0..n)
+                .map(|_| Mutex::new(Route::Held(Vec::new())))
+                .collect(),
+        );
         let forwarders: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let courier = Arc::new(Courier::new());
 
@@ -158,7 +178,7 @@ impl Hub {
                             Ok(w) => w,
                             Err(_) => continue,
                         };
-                        *dests[id].lock().expect("hub dest poisoned") = Some(writer);
+                        Hub::install(&dests[id], id, writer);
                         let handle = Hub::spawn_forwarder(
                             s,
                             n,
@@ -185,22 +205,40 @@ impl Hub {
         })
     }
 
-    /// Writes `payload` to `to`'s hub-side route; a write failure drops
-    /// the frame and clears the stale route (the destination may redial
-    /// later).
-    fn forward(dests: &[Mutex<Option<TcpStream>>], from: PeerId, to: PeerId, payload: &[u8]) {
-        let mut slot = dests[to.index()].lock().expect("hub dest poisoned");
-        if let Some(s) = slot.as_mut() {
-            if write_frame(s, from, to, payload).is_err() {
-                *slot = None;
+    /// Installs peer `id`'s route on its hello, first flushing any frames
+    /// held for it, under the same lock so none can overtake them.
+    fn install(slot: &Mutex<Route>, id: usize, mut writer: TcpStream) {
+        let mut slot = slot.lock().expect("hub dest poisoned");
+        if let Route::Held(held) = std::mem::replace(&mut *slot, Route::Down) {
+            for (from, payload) in held {
+                if write_frame(&mut writer, from, PeerId::new(id), &payload).is_err() {
+                    return;
+                }
             }
+        }
+        *slot = Route::Up(writer);
+    }
+
+    /// Writes `payload` to `to`'s hub-side route, or holds it while `to`
+    /// has never dialed. A write failure drops the frame and marks the
+    /// route down (the destination may redial later).
+    fn forward(dests: &[Mutex<Route>], from: PeerId, to: PeerId, payload: &[u8]) {
+        let mut slot = dests[to.index()].lock().expect("hub dest poisoned");
+        match &mut *slot {
+            Route::Held(held) => held.push((from, payload.to_vec())),
+            Route::Up(s) => {
+                if write_frame(s, from, to, payload).is_err() {
+                    *slot = Route::Down;
+                }
+            }
+            Route::Down => {}
         }
     }
 
     fn spawn_forwarder(
         mut reader: TcpStream,
         n: usize,
-        dests: Arc<Vec<Mutex<Option<TcpStream>>>>,
+        dests: Routes,
         chaos: Arc<ChaosState>,
         shared: Arc<Shared>,
         courier: Arc<Courier>,
@@ -262,7 +300,8 @@ impl Hub {
             let _ = h.join();
         }
         for d in self.dests.iter() {
-            if let Some(s) = d.lock().expect("hub dest poisoned").take() {
+            let mut slot = d.lock().expect("hub dest poisoned");
+            if let Route::Up(s) = std::mem::replace(&mut *slot, Route::Down) {
                 let _ = s.shutdown(Shutdown::Both);
             }
         }
@@ -685,6 +724,29 @@ mod tests {
         write_frame(&mut frame, PeerId::new(0), PeerId::new(513), b"x").unwrap();
         s.write_all(&frame).unwrap();
         await_warning(&shared, "malformed-frame");
+        hub.shutdown();
+    }
+
+    #[test]
+    fn hub_holds_frames_for_a_peer_that_has_not_dialed_yet() {
+        let (hub, _shared) = test_hub(2);
+        let mut a = TcpStream::connect(hub.addr).unwrap();
+        a.write_all(&0u32.to_be_bytes()).unwrap();
+        write_frame(&mut a, PeerId::new(0), PeerId::new(1), b"early").unwrap();
+        // A's health ping comes back only after the hub forwarded the
+        // frame before it, so B dials strictly after the send.
+        write_frame(&mut a, PeerId::new(0), PeerId::new(0), b"").unwrap();
+        let ping = read_frame(&mut a).unwrap();
+        assert_eq!(ping, Some((PeerId::new(0), PeerId::new(0), Vec::new())));
+
+        let mut b = TcpStream::connect(hub.addr).unwrap();
+        b.write_all(&1u32.to_be_bytes()).unwrap();
+        b.set_read_timeout(Some(StdDuration::from_secs(2))).unwrap();
+        let got = read_frame(&mut b).expect("held frame must be flushed to B");
+        assert_eq!(
+            got,
+            Some((PeerId::new(0), PeerId::new(1), b"early".to_vec()))
+        );
         hub.shutdown();
     }
 

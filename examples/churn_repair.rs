@@ -48,10 +48,7 @@ fn main() {
         timeout: Duration::from_millis(1600),
         bytes: 8,
     };
-    let peers: Vec<MaintainProtocol> = topology
-        .peers()
-        .map(|p| MaintainProtocol::new(&hierarchy, p, topology.neighbors(p).to_vec(), hb))
-        .collect();
+    let peers = MaintainProtocol::peers(&topology, &hierarchy, hb, None);
     let mut maintain = sansio_world(SimConfig::default().with_seed(2), peers);
     maintain.start();
 

@@ -74,22 +74,9 @@ fn main() {
         des_report.total_bytes()
     );
 
-    // 3. The same cores, driven by real threads. `build_world` and this
-    //    closure construct the identical peer population.
-    let cores = || -> Vec<NetFilterProtocol> {
-        (0..peers)
-            .map(|i| {
-                let p = PeerId::new(i);
-                NetFilterProtocol::new(
-                    &config,
-                    &hierarchy,
-                    p,
-                    data.local_items(p).to_vec(),
-                    threshold,
-                )
-            })
-            .collect()
-    };
+    // 3. The same cores, driven by real threads: `build_world` wraps
+    //    exactly this peer population.
+    let cores = || NetFilterProtocol::peers(&config, &hierarchy, &data, None, false);
     let wait = StdDuration::from_secs(30);
 
     let channel = run_channel(cores(), 1, wait);

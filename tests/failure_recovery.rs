@@ -16,10 +16,7 @@ fn maintain_world(topo: &Topology, h: &Hierarchy, seed: u64) -> World<Des<Mainta
         timeout: Duration::from_millis(1600),
         bytes: 8,
     };
-    let peers = topo
-        .peers()
-        .map(|p| MaintainProtocol::new(h, p, topo.neighbors(p).to_vec(), hb))
-        .collect();
+    let peers = MaintainProtocol::peers(topo, h, hb, None);
     sansio_world(SimConfig::default().with_seed(seed), peers)
 }
 

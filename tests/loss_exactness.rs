@@ -7,7 +7,9 @@
 
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::{HeartbeatConfig, Topology};
-use ifi_sim::{DetRng, Duration, FaultPlan, MsgClass, PeerId, RelConfig, SimConfig, SimTime};
+use ifi_sim::{
+    sansio_world, DetRng, Duration, FaultPlan, MsgClass, PeerId, RelConfig, SimConfig, SimTime,
+};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
 use netfilter::phases;
 use netfilter::protocol::NetFilterProtocol;
@@ -56,8 +58,10 @@ fn one_shot_protocol_is_exact_across_the_loss_grid() {
         let sim = SimConfig::default()
             .with_seed(100 + i as u64)
             .with_faults(chaos(drop));
-        let mut w =
-            NetFilterProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+        let mut w = sansio_world(
+            sim,
+            NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default()), false),
+        );
         w.enable_metrics_sink();
         w.start();
         w.run_to_quiescence();
@@ -116,8 +120,10 @@ fn scheduled_drops_are_deterministic_and_recovered() {
     let run = || {
         let faults = FaultPlan::none().with_scheduled_drops([0, 2, 5]);
         let sim = SimConfig::default().with_seed(33).with_faults(faults);
-        let mut w =
-            NetFilterProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+        let mut w = sansio_world(
+            sim,
+            NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default()), false),
+        );
         w.start();
         w.run_to_quiescence();
         let result = w
@@ -160,12 +166,9 @@ fn zero_fault_reliable_run_is_byte_identical_to_plain() {
     plain.start();
     plain.run_to_quiescence();
 
-    let mut reliable = NetFilterProtocol::build_world_reliable(
-        &cfg,
-        &h,
-        &data,
+    let mut reliable = sansio_world(
         SimConfig::default().with_seed(7),
-        RelConfig::default(),
+        NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default()), false),
     );
     reliable.start();
     reliable.run_to_quiescence();
@@ -228,14 +231,17 @@ fn resilient_epochs_stay_exact_across_the_loss_grid() {
         let sim = SimConfig::default()
             .with_seed(200 + i as u64)
             .with_faults(chaos(drop));
-        let mut w = ResilientProtocol::build_world_reliable(
-            &cfg,
-            rc,
-            &topo,
-            &h,
-            &data,
+        let mut w = sansio_world(
             sim,
-            RelConfig::default(),
+            ResilientProtocol::peers(
+                &cfg,
+                rc,
+                &topo,
+                &h,
+                &[h.root()],
+                &data,
+                Some(RelConfig::default()),
+            ),
         );
         w.start();
         w.run_until(SimTime::from_micros(40_000_000));

@@ -71,22 +71,10 @@ fn des_run(s: &Scenario) -> (Vec<(ItemId, u64)>, MetricsReport) {
     (answer, w.metrics_report())
 }
 
-/// The same peer population `build_world` constructs, as bare cores for a
+/// The same peer population `build_world` wraps, as bare cores for a
 /// transport driver.
 fn transport_peers(s: &Scenario) -> Vec<NetFilterProtocol> {
-    let threshold = s.cfg.threshold.resolve(s.data.total_value());
-    (0..s.data.peer_count())
-        .map(|i| {
-            let p = PeerId::new(i);
-            NetFilterProtocol::new(
-                &s.cfg,
-                &s.hierarchy,
-                p,
-                s.data.local_items(p).to_vec(),
-                threshold,
-            )
-        })
-        .collect()
+    NetFilterProtocol::peers(&s.cfg, &s.hierarchy, &s.data, None, false)
 }
 
 /// Asserts a transport run reconciles with the DES: same root, same
