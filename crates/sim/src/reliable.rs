@@ -6,6 +6,7 @@
 //! effect-free so every transition is unit-testable on its own.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::arena::PeerMap;
 use crate::id::PeerId;
@@ -152,8 +153,9 @@ pub struct Envelope<M> {
     /// The repairing variant: no backlog, `retransmit` phase marks.
     repairing: bool,
     /// Originals produced so far `(to, msg, bytes)`, kept only by the
-    /// reliable variant: a revival re-sends them all.
-    backlog: Vec<(PeerId, M, u64)>,
+    /// reliable variant: a revival re-sends them all. Each shares its one
+    /// retained copy with the frame's in-flight entry.
+    backlog: Vec<(PeerId, Arc<M>, u64)>,
 }
 
 impl<M: Clone> Envelope<M> {
@@ -184,7 +186,9 @@ impl<M: Clone> Envelope<M> {
     }
 
     /// Sends `msg` to `to`, through the envelope when reliability is on.
-    /// The original is charged `bytes` in `class` either way.
+    /// The original is charged `bytes` in `class` either way. A reliable
+    /// send keeps `msg` as its one retained copy, shared by the in-flight
+    /// entry and the revival backlog, and deep-copies it once for the wire.
     pub fn send<P>(&mut self, fx: &mut Effects<P>, to: PeerId, msg: M, bytes: u64, class: MsgClass)
     where
         P: SansIo<Msg = ReliableMsg<M>>,
@@ -194,10 +198,11 @@ impl<M: Clone> Envelope<M> {
             fx.send(to, ReliableMsg::Plain(msg), bytes, class);
             return;
         };
+        let kept = Arc::new(msg);
         if !self.repairing {
-            self.backlog.push((to, msg.clone(), bytes));
+            self.backlog.push((to, Arc::clone(&kept), bytes));
         }
-        let (seq, frame) = link.send_data(to, msg, bytes);
+        let (seq, frame) = link.send_data(to, kept, bytes);
         fx.send(to, frame, bytes, class);
         fx.set_timer(link.rto(seq, 0), RetransmitTimer(seq).into());
     }
@@ -288,8 +293,8 @@ impl<M: Clone> Envelope<M> {
             return;
         };
         link.on_restart();
-        for (to, msg, bytes) in &self.backlog {
-            let (seq, frame) = link.send_data(*to, msg.clone(), *bytes);
+        for (to, kept, bytes) in &self.backlog {
+            let (seq, frame) = link.send_data(*to, Arc::clone(kept), *bytes);
             fx.send(*to, frame, *bytes, MsgClass::RETRANSMIT);
             fx.set_timer(link.rto(seq, 0), RetransmitTimer(seq).into());
         }
@@ -302,7 +307,7 @@ impl<M: Clone> Envelope<M> {
     /// frame later finds it gone and stays silent.
     pub fn abandon(&mut self, peer: PeerId) {
         if let Some(link) = self.link.as_mut() {
-            link.in_flight.retain(|_, p| p.to != peer);
+            link.abandon(peer);
         }
     }
 }
@@ -313,7 +318,9 @@ impl<M: Clone> Envelope<M> {
 #[derive(Debug, Clone)]
 struct Pending<M> {
     to: PeerId,
-    payload: M,
+    /// The retained copy, shared with the reliable variant's backlog;
+    /// each resend clones the payload out of it.
+    payload: Arc<M>,
     bytes: u64,
     attempts: u32,
 }
@@ -415,28 +422,30 @@ impl<M: Clone> ReliableLink<M> {
         self.in_flight.clear();
     }
 
-    /// Wraps `payload` in a sequenced frame bound for `to`, retaining a
-    /// copy for retransmission. Returns the sequence number and the frame.
-    fn send_data(&mut self, to: PeerId, payload: M, bytes: u64) -> (u64, ReliableMsg<M>) {
+    /// Numbers a frame bound for `to` and keeps `kept`, its retained copy,
+    /// in flight for retransmission. Returns the sequence number and the
+    /// frame, whose payload is the one deep copy made here.
+    fn send_data(&mut self, to: PeerId, kept: Arc<M>, bytes: u64) -> (u64, ReliableMsg<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.in_flight.insert(
+        let frame = self.frame(seq, M::clone(&kept));
+        let pending = Pending {
+            to,
+            payload: kept,
+            bytes,
+            attempts: 0,
+        };
+        self.in_flight.insert(seq, pending);
+        (seq, frame)
+    }
+
+    /// The sequenced frame numbered `seq` of the current incarnation.
+    fn frame(&self, seq: u64, payload: M) -> ReliableMsg<M> {
+        ReliableMsg::Data {
+            inc: self.inc,
             seq,
-            Pending {
-                to,
-                payload: payload.clone(),
-                bytes,
-                attempts: 0,
-            },
-        );
-        (
-            seq,
-            ReliableMsg::Data {
-                inc: self.inc,
-                seq,
-                payload,
-            },
-        )
+            payload,
+        }
     }
 
     /// Timeout before attempt `attempt + 1` of frame `seq` (see
@@ -480,6 +489,11 @@ impl<M: Clone> ReliableLink<M> {
         }
     }
 
+    /// Sender side: drops every in-flight frame addressed to `peer`.
+    fn abandon(&mut self, peer: PeerId) {
+        self.in_flight.retain(|_, p| p.to != peer);
+    }
+
     /// Sender side: handles a retransmit-timer firing for `seq`.
     fn retransmit(&mut self, seq: u64) -> Retransmit<M> {
         let Some(pending) = self.in_flight.get_mut(&seq) else {
@@ -492,7 +506,7 @@ impl<M: Clone> ReliableLink<M> {
         pending.attempts += 1;
         let (to, payload, bytes, attempts) = (
             pending.to,
-            pending.payload.clone(),
+            M::clone(&pending.payload),
             pending.bytes,
             pending.attempts,
         );
@@ -500,11 +514,7 @@ impl<M: Clone> ReliableLink<M> {
             to,
             // In-flight frames always belong to the current incarnation:
             // `on_restart` clears the table.
-            frame: ReliableMsg::Data {
-                inc: self.inc,
-                seq,
-                payload,
-            },
+            frame: self.frame(seq, payload),
             bytes,
             next_delay: self.rto(seq, attempts),
         }
@@ -522,8 +532,8 @@ mod tests {
     #[test]
     fn sequences_are_fresh_per_send() {
         let mut l = link();
-        let (s0, f0) = l.send_data(PeerId::new(1), "a", 4);
-        let (s1, _) = l.send_data(PeerId::new(2), "b", 4);
+        let (s0, f0) = l.send_data(PeerId::new(1), Arc::new("a"), 4);
+        let (s1, _) = l.send_data(PeerId::new(2), Arc::new("b"), 4);
         assert_eq!((s0, s1), (0, 1));
         assert_eq!(
             f0,
@@ -539,7 +549,7 @@ mod tests {
     #[test]
     fn ack_clears_in_flight_and_timer_becomes_noop() {
         let mut l = link();
-        let (seq, _) = l.send_data(PeerId::new(1), "a", 4);
+        let (seq, _) = l.send_data(PeerId::new(1), Arc::new("a"), 4);
         l.on_ack(PeerId::new(1), 0, seq);
         assert!(l.in_flight.is_empty());
         assert_eq!(l.retransmit(seq), Retransmit::Acked);
@@ -550,7 +560,7 @@ mod tests {
     #[test]
     fn ack_from_the_wrong_peer_is_ignored() {
         let mut l = link();
-        let (seq, _) = l.send_data(PeerId::new(1), "a", 4);
+        let (seq, _) = l.send_data(PeerId::new(1), Arc::new("a"), 4);
         l.on_ack(PeerId::new(9), 0, seq);
         assert_eq!(l.in_flight.len(), 1);
     }
@@ -561,7 +571,7 @@ mod tests {
             max_retries: 2,
             ..RelConfig::default()
         });
-        let (seq, _) = l.send_data(PeerId::new(3), "x", 10);
+        let (seq, _) = l.send_data(PeerId::new(3), Arc::new("x"), 10);
         for _ in 0..2 {
             match l.retransmit(seq) {
                 Retransmit::Resend {
@@ -658,11 +668,11 @@ mod tests {
     fn stale_ack_from_a_previous_life_does_not_clear_a_current_frame() {
         let mut l = link();
         let p = PeerId::new(1);
-        let (s0, _) = l.send_data(p, "old", 4);
+        let (s0, _) = l.send_data(p, Arc::new("old"), 4);
         assert_eq!(s0, 0);
         // Crash + restart: the new life's first frame reuses seq 0.
         l.on_restart();
-        let (s1, f1) = l.send_data(p, "new", 4);
+        let (s1, f1) = l.send_data(p, Arc::new("new"), 4);
         assert_eq!(s1, 0, "restart resets the sequence space");
         assert!(matches!(f1, ReliableMsg::Data { inc: 1, seq: 0, .. }));
         // The old life's ack for seq 0 finally arrives: it must not clear
@@ -676,8 +686,8 @@ mod tests {
     #[test]
     fn restart_abandons_in_flight_frames() {
         let mut l = link();
-        l.send_data(PeerId::new(1), "a", 4);
-        l.send_data(PeerId::new(2), "b", 4);
+        l.send_data(PeerId::new(1), Arc::new("a"), 4);
+        l.send_data(PeerId::new(2), Arc::new("b"), 4);
         assert_eq!(l.inc, 0);
         l.on_restart();
         assert_eq!(l.inc, 1);
@@ -685,6 +695,187 @@ mod tests {
         // Stray timers from the old life find nothing to resend.
         assert_eq!(l.retransmit(0), Retransmit::Acked);
         assert_eq!(l.retransmit(1), Retransmit::Acked);
+    }
+
+    /// The link against a reference model that owns each payload outright
+    /// (the link shares its retained copy with the envelope's backlog).
+    mod model {
+        use std::collections::BTreeMap;
+
+        use proptest::prelude::*;
+
+        use super::*;
+
+        const MAX_RETRIES: u32 = 2;
+
+        #[derive(Debug, Default)]
+        struct Model {
+            inc: u32,
+            next_seq: u64,
+            /// seq -> (to, payload, bytes, attempts).
+            in_flight: BTreeMap<u64, (PeerId, u32, u64, u32)>,
+            /// sender -> (inc, next, sparse).
+            seen: BTreeMap<PeerId, (u32, u64, BTreeSet<u64>)>,
+        }
+
+        impl Model {
+            fn send_data(
+                &mut self,
+                to: PeerId,
+                payload: u32,
+                bytes: u64,
+            ) -> (u64, ReliableMsg<u32>) {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.in_flight.insert(seq, (to, payload, bytes, 0));
+                let inc = self.inc;
+                (seq, ReliableMsg::Data { inc, seq, payload })
+            }
+
+            fn on_ack(&mut self, from: PeerId, inc: u32, seq: u64) {
+                if inc == self.inc && self.in_flight.get(&seq).is_some_and(|p| p.0 == from) {
+                    self.in_flight.remove(&seq);
+                }
+            }
+
+            fn retransmit(&mut self, cfg: &RelConfig, seq: u64) -> Retransmit<u32> {
+                let Some(p) = self.in_flight.get_mut(&seq) else {
+                    return Retransmit::Acked;
+                };
+                if p.3 >= MAX_RETRIES {
+                    self.in_flight.remove(&seq);
+                    return Retransmit::GaveUp;
+                }
+                p.3 += 1;
+                Retransmit::Resend {
+                    to: p.0,
+                    frame: ReliableMsg::Data {
+                        inc: self.inc,
+                        seq,
+                        payload: p.1,
+                    },
+                    bytes: p.2,
+                    next_delay: backoff_delay(cfg, p.3, seq),
+                }
+            }
+
+            fn accept(&mut self, from: PeerId, inc: u32, seq: u64) -> bool {
+                let (w_inc, next, sparse) = self.seen.entry(from).or_default();
+                if inc < *w_inc {
+                    return false;
+                }
+                if inc > *w_inc {
+                    (*w_inc, *next) = (inc, 0);
+                    sparse.clear();
+                }
+                if seq < *next || !sparse.insert(seq) {
+                    return false;
+                }
+                while sparse.remove(next) {
+                    *next += 1;
+                }
+                true
+            }
+        }
+
+        /// Asserts that `l` holds exactly the model's state.
+        fn same_state(
+            l: &ReliableLink<u32>,
+            m: &Model,
+        ) -> Result<(), proptest::test_runner::TestCaseError> {
+            prop_assert_eq!((l.inc, l.next_seq), (m.inc, m.next_seq));
+            let link: Vec<_> = l
+                .in_flight
+                .iter()
+                .map(|(s, p)| (*s, (p.to, *p.payload, p.bytes, p.attempts)))
+                .collect();
+            let model: Vec<_> = m.in_flight.iter().map(|(s, p)| (*s, *p)).collect();
+            prop_assert_eq!(link, model);
+            let link: Vec<_> = m
+                .seen
+                .keys()
+                .map(|&p| {
+                    l.seen
+                        .get(p)
+                        .map(|w| (w.inc, w.window.next, w.window.sparse.clone()))
+                })
+                .collect();
+            let model: Vec<_> = m.seen.values().cloned().map(Some).collect();
+            prop_assert_eq!(link, model);
+            prop_assert_eq!(l.seen.len(), m.seen.len());
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Every step of an arbitrary interleaving of sends, acks (in
+            /// any order, from the wrong peer, with a stale incarnation),
+            /// retransmits up to give-up, abandons, restarts, and receipts
+            /// (duplicated, reordered, stale) returns what the model
+            /// returns and leaves the same state behind.
+            #[test]
+            fn link_matches_the_tree_model(
+                ops in prop::collection::vec(
+                    (0u8..10, 0u8..4, 0u8..3, 0u8..16, 1u64..64), 1..160,
+                ),
+            ) {
+                let cfg = RelConfig {
+                    max_retries: MAX_RETRIES,
+                    ..RelConfig::default()
+                };
+                let mut l = ReliableLink::new(cfg.clone());
+                let mut m = Model::default();
+                for (i, &(kind, peer, inc, seq, bytes)) in ops.iter().enumerate() {
+                    let peer = PeerId::new(peer as usize);
+                    // Mostly the current life, sometimes the previous or next.
+                    let ack_inc = match inc {
+                        0 => m.inc.wrapping_sub(1),
+                        1 => m.inc,
+                        _ => m.inc + 1,
+                    };
+                    // Mostly a frame still in flight, else any number issued
+                    // so far or the next one.
+                    let live = match m.in_flight.keys().nth(seq as usize % 4) {
+                        Some(&s) if seq < 12 => s,
+                        _ => seq as u64 % (m.next_seq + 1),
+                    };
+                    match kind {
+                        0 | 1 => {
+                            let payload = i as u32;
+                            prop_assert_eq!(
+                                l.send_data(peer, Arc::new(payload), bytes),
+                                m.send_data(peer, payload, bytes)
+                            );
+                        }
+                        2 => {
+                            // Acks from the frame's own peer half the time.
+                            let from = match m.in_flight.get(&live) {
+                                Some(p) if bytes % 2 == 0 => p.0,
+                                _ => peer,
+                            };
+                            l.on_ack(from, ack_inc, live);
+                            m.on_ack(from, ack_inc, live);
+                        }
+                        3..=5 => prop_assert_eq!(l.retransmit(live), m.retransmit(&cfg, live)),
+                        6 => {
+                            l.abandon(peer);
+                            m.in_flight.retain(|_, p| p.0 != peer);
+                        }
+                        7 => {
+                            l.on_restart();
+                            (m.inc, m.next_seq) = (m.inc + 1, 0);
+                            m.in_flight.clear();
+                        }
+                        _ => {
+                            let (inc, seq) = (inc as u32, seq as u64 % 8);
+                            prop_assert_eq!(l.accept(peer, inc, seq), m.accept(peer, inc, seq));
+                        }
+                    }
+                    same_state(&l, &m)?;
+                }
+            }
+        }
     }
 
     mod envelope {
@@ -695,12 +886,12 @@ mod tests {
 
         /// Minimal envelope-driven echo core, just enough to type `Effects`.
         #[derive(Debug)]
-        struct Echo {
-            env: Envelope<u32>,
+        struct Echo<M = u32> {
+            env: Envelope<M>,
         }
 
-        impl SansIo for Echo {
-            type Msg = ReliableMsg<u32>;
+        impl<M: Clone + std::fmt::Debug> SansIo for Echo<M> {
+            type Msg = ReliableMsg<M>;
             type Timer = RetransmitTimer;
             type Output = ();
 
@@ -723,15 +914,19 @@ mod tests {
 
         type Eff = Effect<ReliableMsg<u32>, RetransmitTimer, ()>;
 
-        fn echo(env: Envelope<u32>) -> (Echo, Effects<Echo>) {
+        fn echo<M: Clone + std::fmt::Debug>(env: Envelope<M>) -> (Echo<M>, Effects<Echo<M>>) {
             (Echo { env }, Effects::new())
         }
 
-        fn drain(fx: &mut Effects<Echo>) -> Vec<Eff> {
+        fn drain<M: Clone + std::fmt::Debug>(
+            fx: &mut Effects<Echo<M>>,
+        ) -> Vec<Effect<ReliableMsg<M>, RetransmitTimer, ()>> {
             fx.drain().collect()
         }
 
-        fn sends(fx: &mut Effects<Echo>) -> Vec<(PeerId, ReliableMsg<u32>, u64, MsgClass)> {
+        fn sends<M: Clone + std::fmt::Debug>(
+            fx: &mut Effects<Echo<M>>,
+        ) -> Vec<(PeerId, ReliableMsg<M>, u64, MsgClass)> {
             drain(fx)
                 .into_iter()
                 .filter_map(|e| match e {
@@ -833,26 +1028,90 @@ mod tests {
             ));
         }
 
+        thread_local! {
+            static CLONES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+        }
+
+        /// A payload that counts its deep copies, per test thread.
+        #[derive(Debug, PartialEq, Eq)]
+        struct Counted(u32);
+
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                CLONES.with(|c| c.set(c.get() + 1));
+                Counted(self.0)
+            }
+        }
+
+        /// Deep copies of a [`Counted`] made while `f` runs.
+        fn copies(f: impl FnOnce()) -> u32 {
+            let before = CLONES.with(|c| c.get());
+            f();
+            CLONES.with(|c| c.get()) - before
+        }
+
+        #[test]
+        fn one_deep_copy_per_wire_frame_and_none_to_retain() {
+            let (mut node, mut fx) = echo(Envelope::plain());
+            let to = PeerId::new(1);
+            let sent = copies(|| node.env.send(&mut fx, to, Counted(0), 8, MsgClass::DATA));
+            assert_eq!(sent, 0, "plain send copied its payload");
+
+            for env in [
+                Envelope::reliable(RelConfig::default()),
+                Envelope::repairing(RelConfig::default()),
+            ] {
+                let (mut node, mut fx) = echo(env);
+                for i in 0..2 {
+                    let sent = copies(|| node.env.send(&mut fx, to, Counted(i), 8, MsgClass::DATA));
+                    assert_eq!(sent, 1, "a reliable send keeps one copy, shared");
+                }
+                for _ in 0..2 {
+                    let resent = copies(|| node.env.on_retransmit(&mut fx, RetransmitTimer(0)));
+                    assert_eq!(resent, 1, "each resend copies once");
+                }
+                node.env
+                    .on_frame(&mut fx, to, ReliableMsg::Ack { inc: 0, seq: 0 });
+                let idle = copies(|| node.env.on_retransmit(&mut fx, RetransmitTimer(0)));
+                assert_eq!(idle, 0, "an acked frame's timer copied");
+                drain(&mut fx);
+            }
+        }
+
         #[test]
         fn revival_resends_the_backlog_under_a_new_incarnation() {
-            let (mut sender, mut fx) = echo(Envelope::reliable(RelConfig::default()));
-            sender
-                .env
-                .send(&mut fx, PeerId::new(1), 1, 8, MsgClass::SKETCH);
-            sender
-                .env
-                .send(&mut fx, PeerId::new(2), 2, 8, MsgClass::SKETCH);
+            let (mut node, mut fx) = echo(Envelope::reliable(RelConfig::default()));
+            let originals = [
+                (PeerId::new(1), 10),
+                (PeerId::new(2), 20),
+                (PeerId::new(1), 30),
+            ];
+            for (i, &(to, bytes)) in originals.iter().enumerate() {
+                node.env
+                    .send(&mut fx, to, Counted(i as u32), bytes, MsgClass::DATA);
+            }
+            let first = sends(&mut fx);
+            // An acked original is re-sent too: the receiver's dedup guard
+            // is what suppresses it.
+            node.env
+                .on_frame(&mut fx, PeerId::new(1), ReliableMsg::Ack { inc: 0, seq: 0 });
             drain(&mut fx);
 
-            sender.env.on_revival(&mut fx);
-            let resent = sends(&mut fx);
-            assert_eq!(resent.len(), 2, "whole backlog resent on revival");
-            for (_, msg, _, class) in resent {
-                assert_eq!(class, MsgClass::RETRANSMIT);
-                assert!(
-                    matches!(msg, ReliableMsg::Data { inc: 1, .. }),
-                    "revival frames must carry the bumped incarnation"
-                );
+            let revived = copies(|| node.env.on_revival(&mut fx));
+            assert_eq!(revived, 3, "one copy per re-sent original");
+            let again = sends(&mut fx);
+            assert_eq!(again.len(), first.len());
+            for (seq, (before, after)) in first.into_iter().zip(again).enumerate() {
+                let (to, msg, bytes, _) = before;
+                let ReliableMsg::Data { payload, .. } = msg else {
+                    panic!("original was not sequenced: {msg:?}");
+                };
+                let frame = ReliableMsg::Data {
+                    inc: 1,
+                    seq: seq as u64,
+                    payload,
+                };
+                assert_eq!(after, (to, frame, bytes, MsgClass::RETRANSMIT));
             }
 
             // Plain mode has nothing to restore.

@@ -343,7 +343,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
 #[derive(Debug)]
 pub struct World<P: Protocol> {
     kernel: Kernel<P::Msg, P::Timer>,
-    peers: Vec<Option<P>>,
+    peers: Vec<P>,
     /// Schedule-exploration hook ([`ScheduleStrategy`]); `None` runs the
     /// classic FIFO tie-break with zero overhead.
     strategy: Option<Box<dyn ScheduleStrategy>>,
@@ -377,7 +377,7 @@ impl<P: Protocol> World<P> {
                 trace: None,
                 sink: EventSink::disabled(),
             },
-            peers: peers.into_iter().map(Some).collect(),
+            peers,
             strategy: None,
             batch_scratch: Vec::new(),
             info_scratch: Vec::new(),
@@ -409,29 +409,18 @@ impl<P: Protocol> World<P> {
     }
 
     /// Immutable view of a peer's protocol state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called re-entrantly from inside that peer's own handler.
     pub fn peer(&self, id: PeerId) -> &P {
-        self.peers[id.index()]
-            .as_ref()
-            .expect("peer state is checked out (re-entrant access)")
+        &self.peers[id.index()]
     }
 
     /// Mutable view of a peer's protocol state (driver-side mutation).
     pub fn peer_mut(&mut self, id: PeerId) -> &mut P {
-        self.peers[id.index()]
-            .as_mut()
-            .expect("peer state is checked out (re-entrant access)")
+        &mut self.peers[id.index()]
     }
 
-    /// Iterates over all peer states.
+    /// Iterates over all peer states, in peer-id order.
     pub fn peers(&self) -> impl Iterator<Item = &P> {
-        self.peers.iter().map(|p| {
-            p.as_ref()
-                .expect("peer state is checked out (re-entrant access)")
-        })
+        self.peers.iter()
     }
 
     /// Whether `peer` is currently up.
@@ -762,26 +751,21 @@ impl<P: Protocol> World<P> {
                 trace.record(self.kernel.now, TraceKind::Kill { peer });
             }
             self.kernel.up[peer.index()] = false;
-            if let Some(p) = self.peers[peer.index()].as_mut() {
-                p.on_stop();
-            }
+            self.peers[peer.index()].on_stop();
         }
     }
 
+    /// Runs one handler activation of peer `id`. The peer's state is
+    /// borrowed in place, disjoint from the kernel its [`Ctx`] wraps, so
+    /// dispatch moves no peer state.
     fn with_peer(&mut self, id: PeerId, f: impl FnOnce(&mut P, &mut Ctx<'_, P>)) {
-        let mut state = self.peers[id.index()]
-            .take()
-            .expect("re-entrant handler execution");
-        {
-            let mut ctx = Ctx {
-                kernel: &mut self.kernel,
-                self_id: id,
-            };
-            f(&mut state, &mut ctx);
-        }
+        let mut ctx = Ctx {
+            kernel: &mut self.kernel,
+            self_id: id,
+        };
+        f(&mut self.peers[id.index()], &mut ctx);
         // A phase mark is scoped to one handler activation.
         self.kernel.sink.clear_mark();
-        self.peers[id.index()] = Some(state);
     }
 }
 
